@@ -15,7 +15,6 @@ from nullshaper import (
     Direction,
     InterfererBelief,
     Objective,
-    PsoConfig,
     build_grid,
     null_width,
     optimize,
@@ -27,13 +26,15 @@ USER = Direction(math.radians(30.0), 0.0)
 BELIEF = InterfererBelief.isotropic(0.0, 0.0, math.radians(1.0))
 
 print(__doc__)
-print(f"{'kappa':>6} {'design value [dB]':>18} {'-40 dB notch width [deg]':>26}")
+print(f"{'kappa':>6} {'design value [dB]':>18} {'-40 dB notch width [deg]':>26} "
+      f"{'loading':>10}")
 for kappa in (1, 2, 3):
     grid = build_grid(BELIEF, samples_per_axis=5, kappa=kappa)
-    result = optimize(Objective(ARRAY, [USER], [grid]), PsoConfig(seed=42))
+    result = optimize(Objective(ARRAY, [USER], [grid]))
     angles, levels = pattern_cut(ARRAY, result.weights, phi_cut=0.0, samples=3601)
     width = null_width(angles, levels, center=0.0, depth_db=40.0)
-    print(f"{kappa:>6} {result.psi_db:>18.1f} {math.degrees(width):>26.2f}")
+    print(f"{kappa:>6} {result.psi_db:>18.1f} {math.degrees(width):>26.2f} "
+          f"{result.loading:>10.2e}")
 
 print(
     "\nThe notch width tracks the sampled band (+/- kappa degrees here)"

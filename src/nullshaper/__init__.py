@@ -4,7 +4,7 @@ uncertainty.
 The package covers the full desk-scale pipeline: exact LEO viewing
 geometry on the WGS84 ellipsoid (`geodesy`), planar-array gain evaluation
 (`array`), probability-weighted null sample grids (`uncertainty`), the
-swarm-based weight search (`optimizer`), and scenario-level Monte-Carlo
+closed-form weight design (`optimizer`), and scenario-level Monte-Carlo
 robustness experiments (`simulation`). A small CLI (`nullshaper`) drives
 the experiment types and writes CSV/SVG artifacts.
 """
@@ -46,7 +46,6 @@ from .optimizer import (
     OptimizationResult,
     PolishConfig,
     PsoConfig,
-    local_polish,
     mitigation_effectiveness,
     optimize,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "OptimizationResult",
     "mitigation_effectiveness",
     "optimize",
-    "local_polish",
     # simulation
     "Scenario",
     "InterfererSite",

@@ -3,7 +3,7 @@
 Four subcommands drive the library against a JSON scenario file:
 
 * ``pattern``   - design weights (or take uniform ones) and export a gain cut
-* ``optimize``  - run the weight search and export weights plus trace
+* ``optimize``  - design weights and export them plus a one-row trace
 * ``sweep``     - design per shaping value and run robustness sweeps
 * ``geodesy``   - pointing-error to ground-distance tables over altitude
 
@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     pattern.add_argument("--uniform", action="store_true",
                          help="skip optimisation and use uniform weights")
 
-    optimize_cmd = sub.add_parser("optimize", help="search weights and export them")
+    optimize_cmd = sub.add_parser("optimize", help="design weights and export them")
     add_common(optimize_cmd)
 
     sweep = sub.add_parser("sweep", help="robustness sweep over interferer error")
@@ -156,7 +156,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     from dataclasses import replace
 
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed, pso=replace(scenario.pso, seed=args.seed))
+        scenario = replace(scenario, seed=args.seed)
     if args.kappa is not None:
         if args.kappa < 0:
             raise ScenarioError("kappa must be >= 0")
@@ -218,32 +218,18 @@ def _cmd_optimize(scenario: Scenario, args, out_dir: Path) -> int:
         ("m", "n", "re", "im", "amp", "phase_rad"),
         weight_rows,
     )
-    cumulative_evals = _trace_evaluations(scenario, result)
     _write_csv(
         out_dir / "trace.csv",
         scenario.seed,
         ("iteration", "best_psi_db", "evaluations"),
-        [(i, v, e) for i, (v, e) in enumerate(zip(result.trace, cumulative_evals))],
+        [(0, result.psi_db, result.evaluations)],
     )
     print(
         f"psi_db={result.psi_db:.3f} evaluations={result.evaluations} "
+        f"loading={result.loading:.3e} clamped={result.clamped} "
         f"wall_time_s={elapsed:.3f}"
     )
     return _EXIT_OK
-
-
-def _trace_evaluations(scenario: Scenario, result) -> list[int]:
-    """Cumulative evaluation counts aligned with the trace entries."""
-    swarm = scenario.pso.resolved_swarm_size(2 * scenario.array.size)
-    counts = []
-    total = 0
-    for idx in range(len(result.trace)):
-        if idx <= scenario.pso.iterations:
-            total += swarm
-        counts.append(min(total, result.evaluations))
-    if counts:
-        counts[-1] = result.evaluations
-    return counts
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -418,6 +404,9 @@ def main(argv=None) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return _EXIT_SCENARIO
 
+    if scenario.pso is not None:
+        print("note: the scenario's pso block is ignored; weights are designed in closed form",
+              file=sys.stderr)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -30,7 +30,14 @@ from .geodesy import (
     geodetic_to_ecef,
     ned_to_ecef_rotation,
 )
-from .optimizer import Objective, OptimizationResult, PolishConfig, PsoConfig, optimize
+from .optimizer import (
+    Objective,
+    OptimizationResult,
+    PolishConfig,
+    PsoConfig,
+    _response_power,
+    optimize,
+)
 from .uncertainty import InterfererBelief, NullSampleGrid, build_grid
 
 __all__ = [
@@ -97,7 +104,12 @@ class InterfererSite:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full experiment description."""
+    """Full experiment description.
+
+    ``pso`` is the scenario file's legacy swarm block, or None when the
+    file has none. It is parsed and validated but ignored: weights are
+    designed in closed form.
+    """
 
     satellite: GeodeticPosition
     array: ArrayModel
@@ -106,7 +118,7 @@ class Scenario:
     samples_per_axis: int = 3
     kappa: int = 1
     seed: int = 0
-    pso: PsoConfig = field(default_factory=PsoConfig)
+    pso: PsoConfig | None = None
     link_budget: LinkBudget = field(default_factory=LinkBudget)
     ellipsoid: EllipsoidParams = WGS84
 
@@ -179,10 +191,9 @@ def build_objective(sc: Scenario, eps_den: float = 1e-18) -> Objective:
     return Objective(sc.array, sc.user_directions(), grids, eps_den=eps_den)
 
 
-def design_weights(sc: Scenario, cfg: PsoConfig | None = None) -> OptimizationResult:
-    """Optimise beamforming weights for the scenario; ``cfg`` defaults to
-    the scenario's swarm configuration."""
-    return optimize(build_objective(sc), cfg if cfg is not None else sc.pso)
+def design_weights(sc: Scenario) -> OptimizationResult:
+    """Design beamforming weights for the scenario's shaped objective."""
+    return optimize(build_objective(sc))
 
 
 @dataclass(frozen=True)
@@ -227,20 +238,19 @@ def _realized_psi(
 ) -> np.ndarray:
     """Effectiveness per trial for realised point interferers (weight one).
 
-    Each trial is scored with the same matrix shapes the design objective
-    uses, so a realised point reproduces the single-point-grid objective
-    value bit for bit (null depths are cancellation-limited and would
-    otherwise pick up kernel-dependent rounding).
+    All trials are steered and scored in one batch through the design
+    objective's response helper, whose per-row rounding does not depend on
+    the batch size, so a realised point reproduces the single-point-grid
+    objective value bit for bit (null depths are cancellation-limited and
+    would otherwise pick up kernel-dependent rounding).
     """
-    w_col = np.asarray(getattr(w, "values", w), dtype=complex).reshape(-1, 1)
-    numerator = float(np.mean(np.abs(user_steering @ w_col) ** 2, axis=0)[0])
-    trials = realized.shape[0]
-    out = np.empty(trials)
-    for trial in range(trials):
-        steer = sc.array.steering(realized[trial, :, 0], realized[trial, :, 1])
-        denominator = float(np.mean(np.abs(steer @ w_col) ** 2, axis=0)[0])
-        out[trial] = numerator / max(denominator, eps_den)
-    return out
+    w_row = np.asarray(getattr(w, "values", w), dtype=complex).reshape(1, -1)
+    numerator = np.mean(_response_power(user_steering, w_row), axis=0)[0]
+    trials, j_count, _ = realized.shape
+    flat = realized.reshape(-1, 2)
+    steer = sc.array.steering(flat[:, 0], flat[:, 1])
+    denominator = np.mean(_response_power(steer, w_row).reshape(trials, j_count), axis=1)
+    return numerator / np.maximum(denominator, eps_den)
 
 
 def monte_carlo_sweep(
@@ -379,7 +389,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     ``array{m, n, dx_over_lambda, dy_over_lambda, freq_hz}``, ``users``,
     ``interferers`` (each entry a ground point ``{lon_deg, lat_deg}`` or a
     direction ``{theta_deg, phi_deg}``, interferers adding ``sigma_s_deg``
-    and ``sigma_i_deg``), ``shaping{L, kappa}``, optional ``pso{...}``,
+    and ``sigma_i_deg``), ``shaping{L, kappa}``, optional ``pso{...}``
+    (legacy swarm settings: validated, then ignored),
     optional ``link_budget{...}``, and ``seed``.
     """
     try:
@@ -405,17 +416,20 @@ def scenario_from_dict(raw: dict) -> Scenario:
             for j in raw["interferers"]
         )
         shaping = raw.get("shaping", {})
-        pso_entry = dict(raw.get("pso", {}))
         seed = int(raw.get("seed", 0))
-        pso_entry.setdefault("seed", seed)
-        if "polish" in pso_entry:
-            polish_entry = pso_entry["polish"]
-            if isinstance(polish_entry, dict):
-                pso_entry["polish"] = PolishConfig(**polish_entry)
-            elif polish_entry in (None, False):
-                pso_entry["polish"] = None
-            else:
-                raise ScenarioError(f"invalid pso.polish entry {polish_entry!r}")
+        pso = None
+        if "pso" in raw:
+            pso_entry = dict(raw["pso"])
+            pso_entry.setdefault("seed", seed)
+            if "polish" in pso_entry:
+                polish_entry = pso_entry["polish"]
+                if isinstance(polish_entry, dict):
+                    pso_entry["polish"] = PolishConfig(**polish_entry)
+                elif polish_entry in (None, False):
+                    pso_entry["polish"] = None
+                else:
+                    raise ScenarioError(f"invalid pso.polish entry {polish_entry!r}")
+            pso = PsoConfig(**pso_entry)
         budget_entry = raw.get("link_budget", {})
         scenario = Scenario(
             satellite=satellite,
@@ -425,7 +439,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             samples_per_axis=int(shaping.get("L", 3)),
             kappa=int(shaping.get("kappa", 1)),
             seed=seed,
-            pso=PsoConfig(**pso_entry),
+            pso=pso,
             link_budget=LinkBudget(**budget_entry) if budget_entry else LinkBudget(),
         )
     except ScenarioError:

@@ -121,8 +121,11 @@ class TestOptimize:
     def test_outputs_and_summary(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["optimize", "--scenario", str(scenario_path), "--out", str(out)]) == 0
-        summary = capsys.readouterr().out
-        assert "psi_db=" in summary and "evaluations=" in summary and "wall_time_s=" in summary
+        captured = capsys.readouterr()
+        summary = captured.out
+        assert "psi_db=" in summary and "evaluations=1 " in summary and "wall_time_s=" in summary
+        assert "loading=" in summary and "clamped=False" in summary
+        assert captured.err.count("pso block is ignored") == 1
 
         weight_lines = read_lines(out / "weights.csv")
         assert weight_lines[1] == "m,n,re,im,amp,phase_rad"

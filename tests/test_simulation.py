@@ -81,11 +81,13 @@ class TestDesignWeights:
         a = design_weights(make_scenario(sigma_s_deg=0.0, kappa=1))
         b = design_weights(make_scenario(sigma_s_deg=0.0, kappa=4))
         assert np.array_equal(a.weights.values, b.weights.values)
+        # the sharp null reaches the eps_den clamp, which the result reports
+        assert a.clamped and a.psi_db == pytest.approx(198.057, abs=1e-3)
 
     def test_end_to_end_feasible(self):
         result = design_weights(make_scenario())
         assert result.weights.norm_sq() <= 1.0 + 1e-9
-        assert result.psi > 1.0
+        assert result.psi > 1.0 and not result.clamped
 
     def test_direction_typed_scenario(self):
         sc = Scenario(
