@@ -12,7 +12,7 @@ the same story in bits/s/Hz.
 import math
 from pathlib import Path
 
-from nullshaper import crossover_sigma, design_weights, load_scenario, monte_carlo_sweep
+from nullshaper import crossover_sigma, design_weights, load_scenario, monte_carlo_sweeps
 
 scenario = load_scenario(Path(__file__).parent / "scenarios" / "leo_capacity.json")
 
@@ -21,15 +21,15 @@ SIGMA_I_DEG = [0.1 * i for i in range(11)]
 TRIALS = 300
 
 print(__doc__)
-print(f"{TRIALS} trials per point, seed {scenario.seed}\n")
+print(f"{TRIALS} trials per point, seed {scenario.seed}; every design sees the same draws\n")
 
-sweeps = {}
-for sigma_s in SIGMA_S_DEG:
-    designed = scenario.with_sigma_s(math.radians(sigma_s))
-    weights = design_weights(designed).weights
-    sweeps[sigma_s] = monte_carlo_sweep(
-        designed, weights, [math.radians(s) for s in SIGMA_I_DEG], trials=TRIALS
-    )
+weights = [
+    design_weights(scenario.with_sigma_s(math.radians(sigma_s))).weights for sigma_s in SIGMA_S_DEG
+]
+results = monte_carlo_sweeps(
+    scenario, weights, [math.radians(s) for s in SIGMA_I_DEG], trials=TRIALS
+)
+sweeps = {sigma_s: psi for sigma_s, (psi, _) in zip(SIGMA_S_DEG, results)}
 
 header = "sigma_i [deg]:" + "".join(f"{s:7.1f}" for s in SIGMA_I_DEG)
 print(header)

@@ -64,6 +64,7 @@ from .simulation import (
     geodetic_to_direction,
     load_scenario,
     monte_carlo_sweep,
+    monte_carlo_sweeps,
     scenario_from_dict,
 )
 from .uncertainty import (
@@ -137,6 +138,7 @@ __all__ = [
     "build_objective",
     "design_weights",
     "monte_carlo_sweep",
+    "monte_carlo_sweeps",
     "capacity",
     "crossover_sigma",
     "load_scenario",

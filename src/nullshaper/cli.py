@@ -13,16 +13,12 @@ seed, so re-running a command overwrites files with identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
 3 runtime error (non-convergence, missed rays, I/O failures).
-
-``NULLSHAPER_THREADS`` caps worker concurrency; evaluation in this
-implementation is vectorised in-process, which always satisfies the cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -47,7 +43,8 @@ from .simulation import (
     crossover_sigma,
     design_weights,
     load_scenario,
-    monte_carlo_sweep,
+    monte_carlo_sweep,  # noqa: F401  (bench/tracing.py wraps it in this namespace)
+    monte_carlo_sweeps,
 )
 
 __all__ = ["main", "entrypoint"]
@@ -138,18 +135,6 @@ def _build_parser() -> _Parser:
     geodesy.add_argument("--expected-elevation-deg", type=float, default=None,
                          help="expected-ray elevation; default derived from the first interferer")
     return parser
-
-
-def _check_thread_cap() -> None:
-    raw = os.environ.get("NULLSHAPER_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"NULLSHAPER_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise _UsageError("NULLSHAPER_THREADS must be >= 1")
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -257,27 +242,18 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
     sigma_i_deg = [i * args.sigma_i_step for i in range(steps + 1)]
     sigma_i_rad = [math.radians(s) for s in sigma_i_deg]
 
-    sweeps = {}
+    weights = [
+        design_weights(scenario.with_sigma_s(math.radians(s))).weights for s in sigma_s_list
+    ]
+    results = monte_carlo_sweeps(scenario, weights, sigma_i_rad, trials=trials,
+                                 seed=scenario.seed)
+    sweeps = {s: psi for s, (psi, _) in zip(sigma_s_list, results)}
     capacity_sweeps = {}
-    for sigma_s_deg in sigma_s_list:
-        design_scenario = scenario.with_sigma_s(math.radians(sigma_s_deg))
-        result = design_weights(design_scenario)
-        sweeps[sigma_s_deg] = monte_carlo_sweep(
-            design_scenario, result.weights, sigma_i_rad, trials=trials, seed=scenario.seed
-        )
-        if args.capacity:
-            if len(scenario.users) == 1:
-                capacity_sweeps[sigma_s_deg] = monte_carlo_sweep(
-                    design_scenario,
-                    result.weights,
-                    sigma_i_rad,
-                    trials=trials,
-                    seed=scenario.seed,
-                    metric="capacity",
-                )
-            else:
-                print("capacity sweep skipped: scenario serves more than one user",
-                      file=sys.stderr)
+    if args.capacity:
+        if len(scenario.users) == 1:
+            capacity_sweeps = {s: cap for s, (_, cap) in zip(sigma_s_list, results)}
+        else:
+            print("capacity sweep skipped: scenario serves more than one user", file=sys.stderr)
 
     baseline = sweeps.get(0.0)
     for sigma_s_deg, sweep in sweeps.items():
@@ -393,7 +369,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_thread_cap()
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -7,6 +7,11 @@ has). Ground positions are mapped into the nadir-pointing array frame,
 weights are designed against the shaped uncertainty, and sweeps then score
 those weights against interferer positions drawn with varying sigma_i.
 
+Sweeps use common random numbers: one block of standard normals, drawn
+once from the seed, is scaled by every sigma_i, so every sigma_i point,
+every design and both metrics (effectiveness and capacity) see the same
+draws, and one pass over the steered realisations scores them all.
+
 Per-trial scores aggregate in the dB domain: realised effectiveness spans
 many orders of magnitude and its linear-scale mean is dominated by the
 single draw closest to a pattern null, so dB averaging is what makes the
@@ -22,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array import ArrayModel, Direction, WeightVector, gains
+from .array import ArrayModel, Direction, WeightVector
 from .geodesy import (
     WGS84,
     EllipsoidParams,
@@ -54,6 +59,7 @@ __all__ = [
     "build_objective",
     "design_weights",
     "monte_carlo_sweep",
+    "monte_carlo_sweeps",
     "capacity",
     "crossover_sigma",
 ]
@@ -218,39 +224,104 @@ class SweepResult:
             raise ValueError("sigma_i grid must be sorted")
 
 
-def _trial_directions(
-    means: np.ndarray, sigma_i: float, seed: int, sigma_index: int, trials: int
+def _weight_row(w) -> np.ndarray:
+    return np.asarray(getattr(w, "values", w), dtype=complex).reshape(1, -1)
+
+
+def _user_steering(sc: Scenario) -> np.ndarray:
+    user_dirs = sc.user_directions()
+    return sc.array.steering(
+        np.array([d.theta for d in user_dirs]), np.array([d.phi for d in user_dirs])
+    )
+
+
+def _user_gain(user_steering: np.ndarray, row: np.ndarray) -> float:
+    """Mean user gain of one weight row, summed as the design objective does."""
+    return float(np.mean(_response_power(user_steering, row), axis=0)[0])
+
+
+def _psi_db(user_gain: float, interferer_gains: np.ndarray, eps_den: float) -> np.ndarray:
+    """Per-trial effectiveness in dB from (trials, J) point-interferer gains."""
+    psi = user_gain / np.maximum(np.mean(interferer_gains, axis=1), eps_den)
+    return 10.0 * np.log10(np.maximum(psi, 1e-300))
+
+
+def _capacity_bits(
+    user_gain: float, interferer_gains: np.ndarray, budget: LinkBudget
 ) -> np.ndarray:
-    """Realised (theta, phi) per interferer and trial, shape (trials, J, 2).
-
-    Each trial owns an RNG stream keyed by (seed, sigma index, trial), so
-    results do not depend on evaluation order or worker count.
-    """
-    out = np.empty((trials, means.shape[0], 2))
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, sigma_index, trial])
-        out[trial] = rng.normal(means, sigma_i)
-    return out
+    """Per-trial log2(1 + SINR) from (trials, J) point-interferer gains."""
+    interference = budget.interferer_power * interferer_gains.sum(axis=1)
+    sinr = user_gain * budget.user_power / (interference + budget.noise_power)
+    return np.log2(1.0 + sinr)
 
 
-def _realized_psi(
-    sc: Scenario, w, user_steering: np.ndarray, realized: np.ndarray, eps_den: float
-) -> np.ndarray:
-    """Effectiveness per trial for realised point interferers (weight one).
+def monte_carlo_sweeps(
+    sc: Scenario,
+    weights,
+    sigma_i_grid,
+    trials: int = 1000,
+    seed: int | None = None,
+    link_budget: LinkBudget | None = None,
+    eps_den: float = 1e-18,
+) -> list[tuple[SweepResult, SweepResult | None]]:
+    """Score several fixed weight vectors against interferer position error.
 
-    All trials are steered and scored in one batch through the design
+    One block of standard normals z, shape (trials, J, 2), is drawn from
+    ``default_rng(seed)``, and the sigma_i point realises interferer j of
+    trial t at mean_j + sigma_i * z[t, j]. Every sigma_i point, every
+    design and both metrics share these draws (common random numbers), so
+    a row does not depend on the grid around it and designs differ only by
+    their weights. Per sigma_i point the realised directions are steered
+    once; each weight row is then scored on its own through the design
     objective's response helper, whose per-row rounding does not depend on
     the batch size, so a realised point reproduces the single-point-grid
-    objective value bit for bit (null depths are cancellation-limited and
-    would otherwise pick up kernel-dependent rounding).
+    objective value bit for bit.
+
+    Returns one ``(psi, capacity)`` pair per weight row: psi rows in dB,
+    capacity rows in bits/s/Hz, or None when the scenario does not serve
+    exactly one user.
     """
-    w_row = np.asarray(getattr(w, "values", w), dtype=complex).reshape(1, -1)
-    numerator = np.mean(_response_power(user_steering, w_row), axis=0)[0]
-    trials, j_count, _ = realized.shape
-    flat = realized.reshape(-1, 2)
-    steer = sc.array.steering(flat[:, 0], flat[:, 1])
-    denominator = np.mean(_response_power(steer, w_row).reshape(trials, j_count), axis=1)
-    return numerator / np.maximum(denominator, eps_den)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    sigma_list = [float(s) for s in sigma_i_grid]
+    if sigma_list != sorted(sigma_list):
+        raise ValueError("sigma_i grid must be sorted")
+    seed = sc.seed if seed is None else seed
+    budget = link_budget if link_budget is not None else sc.link_budget
+
+    rows = [_weight_row(w) for w in weights]
+    user_steering = _user_steering(sc)
+    user_gains = [_user_gain(user_steering, row) for row in rows]
+    with_capacity = user_steering.shape[0] == 1
+    means = np.array([[d.theta, d.phi] for d in sc.interferer_directions()])
+    z = np.random.default_rng(seed).standard_normal((trials, means.shape[0], 2))
+
+    shape = (len(rows), len(sigma_list))
+    psi_mean, psi_std = np.empty(shape), np.empty(shape)
+    cap_mean, cap_std = np.empty(shape), np.empty(shape)
+    for point, sigma_i in enumerate(sigma_list):
+        flat = (means + sigma_i * z).reshape(-1, 2)
+        steer = sc.array.steering(flat[:, 0], flat[:, 1])
+        for design, (row, user_gain) in enumerate(zip(rows, user_gains)):
+            interferer_gains = _response_power(steer, row).reshape(trials, -1)
+            per_trial = _psi_db(user_gain, interferer_gains, eps_den)
+            psi_mean[design, point], psi_std[design, point] = per_trial.mean(), per_trial.std()
+            if with_capacity:
+                per_trial = _capacity_bits(user_gain, interferer_gains, budget)
+                cap_mean[design, point], cap_std[design, point] = per_trial.mean(), per_trial.std()
+
+    sigma_i_deg = tuple(math.degrees(s) for s in sigma_list)
+
+    def result(mean, std, metric):
+        return SweepResult(sigma_i_deg, tuple(mean.tolist()), tuple(std.tolist()), trials, metric)
+
+    return [
+        (
+            result(psi_mean[d], psi_std[d], "psi"),
+            result(cap_mean[d], cap_std[d], "capacity") if with_capacity else None,
+        )
+        for d in range(len(rows))
+    ]
 
 
 def monte_carlo_sweep(
@@ -271,55 +342,14 @@ def monte_carlo_sweep(
     interferer treated as a single point of weight one. Rows report the
     mean and standard deviation over trials (dB for ``psi``, bits/s/Hz for
     ``capacity``); sigma_i = 0 reproduces the deterministic value exactly.
+    One design of :func:`monte_carlo_sweeps`, with the same draws.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if metric not in ("psi", "capacity"):
         raise ValueError(f"unknown metric {metric!r}")
-    seed = sc.seed if seed is None else seed
-    budget = link_budget if link_budget is not None else sc.link_budget
-
-    user_dirs = sc.user_directions()
-    user_steering = sc.array.steering(
-        np.array([d.theta for d in user_dirs]), np.array([d.phi for d in user_dirs])
-    )
-    if metric == "capacity" and len(user_dirs) != 1:
+    if metric == "capacity" and len(sc.users) != 1:
         raise UnsupportedScenarioError("capacity metric requires exactly one user")
-
-    means = np.array([[d.theta, d.phi] for d in sc.interferer_directions()])
-    sigma_list = [float(s) for s in sigma_i_grid]
-    if sigma_list != sorted(sigma_list):
-        raise ValueError("sigma_i grid must be sorted")
-
-    mean_rows, std_rows = [], []
-    for sigma_index, sigma_i in enumerate(sigma_list):
-        realized = _trial_directions(means, sigma_i, seed, sigma_index, trials)
-        if metric == "psi":
-            psi = _realized_psi(sc, w, user_steering, realized, eps_den)
-            per_trial = 10.0 * np.log10(np.maximum(psi, 1e-300))
-        else:
-            user_gain = float(gains(sc.array, w, user_dirs[0].theta, user_dirs[0].phi))
-            per_trial = _capacity_trials(sc, w, user_gain, realized, budget)
-        mean_rows.append(float(per_trial.mean()))
-        std_rows.append(float(per_trial.std()))
-    return SweepResult(
-        sigma_i_deg=tuple(math.degrees(s) for s in sigma_list),
-        mean_db=tuple(mean_rows),
-        std_db=tuple(std_rows),
-        trials=trials,
-        metric=metric,
-    )
-
-
-def _capacity_trials(
-    sc: Scenario, w, user_gain: float, realized: np.ndarray, budget: LinkBudget
-) -> np.ndarray:
-    trials, j_count, _ = realized.shape
-    flat = realized.reshape(-1, 2)
-    interferer_gains = gains(sc.array, w, flat[:, 0], flat[:, 1]).reshape(trials, j_count)
-    interference = budget.interferer_power * interferer_gains.sum(axis=1)
-    sinr = user_gain * budget.user_power / (interference + budget.noise_power)
-    return np.log2(1.0 + sinr)
+    psi, cap = monte_carlo_sweeps(sc, [w], sigma_i_grid, trials, seed, link_budget, eps_den)[0]
+    return psi if metric == "psi" else cap
 
 
 def capacity(
@@ -332,10 +362,10 @@ def capacity(
     set of realised interferer directions.
 
     ``realized_directions`` is a (J, 2) array of (theta, phi) rows or a
-    list of :class:`Direction`. Raises for K != 1.
+    list of :class:`Direction`. Raises for K != 1. Scored exactly as one
+    trial of :func:`monte_carlo_sweeps`.
     """
-    user_dirs = sc.user_directions()
-    if len(user_dirs) != 1:
+    if len(sc.users) != 1:
         raise UnsupportedScenarioError("capacity metric requires exactly one user")
     budget = link_budget if link_budget is not None else sc.link_budget
     if isinstance(realized_directions, (list, tuple)) and realized_directions and isinstance(
@@ -344,8 +374,11 @@ def capacity(
         realized = np.array([[d.theta, d.phi] for d in realized_directions])
     else:
         realized = np.asarray(realized_directions, dtype=float).reshape(-1, 2)
-    user_gain = float(gains(sc.array, w, user_dirs[0].theta, user_dirs[0].phi))
-    return float(_capacity_trials(sc, w, user_gain, realized[np.newaxis, :, :], budget)[0])
+    row = _weight_row(w)
+    steer = sc.array.steering(realized[:, 0], realized[:, 1])
+    interferer_gains = _response_power(steer, row).reshape(1, -1)
+    user_gain = _user_gain(_user_steering(sc), row)
+    return float(_capacity_bits(user_gain, interferer_gains, budget)[0])
 
 
 def crossover_sigma(baseline: SweepResult, other: SweepResult) -> float | None:

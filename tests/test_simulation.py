@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nullshaper.simulation import (
     geodetic_to_direction,
     load_scenario,
     monte_carlo_sweep,
+    monte_carlo_sweeps,
     scenario_from_dict,
 )
 from nullshaper.uncertainty import NullSampleGrid
@@ -46,6 +48,19 @@ def make_scenario(sigma_s_deg=0.3, sigma_i_deg=0.5, m=8, n=8, **kwargs):
         pso=FAST_PSO,
         **kwargs,
     )
+
+
+def realised_directions(sc, sigma_i, trials, seed):
+    """The sweep's realised (theta, phi) per trial and interferer, rebuilt
+    from its common standard normals."""
+    means = np.array([[d.theta, d.phi] for d in sc.interferer_directions()])
+    return means + sigma_i * np.random.default_rng(seed).standard_normal((trials, len(means), 2))
+
+
+def point_psi_db(sc, w, direction):
+    """Effectiveness in dB against one point interferer, via the objective."""
+    obj = Objective(sc.array, sc.user_directions(), [NullSampleGrid.point(*direction)])
+    return 10 * math.log10(mitigation_effectiveness(obj, w))
 
 
 class TestGeodeticToDirection:
@@ -110,6 +125,17 @@ class TestMonteCarloSweep:
         sweep = monte_carlo_sweep(sc, result.weights, [0.0], trials=5, seed=3)
         assert sweep.mean_db[0] == pytest.approx(result.psi_db, abs=1e-9)
         assert sweep.std_db[0] == 0.0
+        # in a multi-design sweep every design scores its value against the
+        # mean interferer direction
+        mean = sc.interferer_directions()[0]
+        weights = [design_weights(sc.with_sigma_s(math.radians(s))).weights
+                   for s in (0.0, 0.1, 0.3)]
+        for w, (psi, _) in zip(weights, monte_carlo_sweeps(sc, weights, [0.0], trials=5, seed=3)):
+            assert psi.mean_db[0] == pytest.approx(
+                point_psi_db(sc, w, (mean.theta, mean.phi)), abs=1e-9
+            )
+            # identical trials; np.std may still round their mean by an ulp
+            assert psi.std_db[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_sharp_null_degrades_off_zero(self):
         sc = make_scenario(sigma_s_deg=0.0)
@@ -135,24 +161,39 @@ class TestMonteCarloSweep:
     def test_point_evaluation_matches_objective_path(self):
         sc = make_scenario()
         w = design_weights(sc).weights
-        sweep = monte_carlo_sweep(sc, w, [math.radians(0.3)], trials=7, seed=6)
-        # rebuild trial 0 by hand: same rng keying, then score through the
-        # generic objective with a single-point grid of weight one
-        rng = np.random.default_rng([6, 0, 0])
-        mean = sc.interferer_directions()[0]
-        draw = rng.normal([mean.theta, mean.phi], math.radians(0.3))
-        obj = Objective(
-            sc.array, sc.user_directions(), [NullSampleGrid.point(draw[0], draw[1])]
-        )
-        psi_trial = mitigation_effectiveness(obj, w)
-        trials_db = []
-        for trial in range(7):
-            r = np.random.default_rng([6, 0, trial])
-            d = r.normal([mean.theta, mean.phi], math.radians(0.3))
-            o = Objective(sc.array, sc.user_directions(), [NullSampleGrid.point(d[0], d[1])])
-            trials_db.append(10 * math.log10(mitigation_effectiveness(o, w)))
+        sigma = math.radians(0.3)
+        sweep = monte_carlo_sweep(sc, w, [sigma], trials=7, seed=6)
+        # rebuild every trial by hand from the common draws, then score it
+        # through the generic objective with a single-point grid of weight one
+        trials_db = [point_psi_db(sc, w, draw[0]) for draw in realised_directions(sc, sigma, 7, 6)]
         assert sweep.mean_db[0] == pytest.approx(np.mean(trials_db), rel=1e-12)
-        assert psi_trial > 0.0
+        assert all(math.isfinite(v) for v in trials_db)
+
+    def test_designs_swept_together_match_single_sweeps(self):
+        sc = make_scenario()
+        weights = [design_weights(sc.with_sigma_s(math.radians(s))).weights for s in (0.0, 0.3)]
+        weights.append(WeightVector.uniform(64))
+        grid = [0.0, math.radians(0.2), math.radians(0.6)]
+        pairs = monte_carlo_sweeps(sc, weights, grid, trials=40, seed=12)
+        assert len(pairs) == len(weights)
+        for w, (psi, cap) in zip(weights, pairs):
+            assert psi == monte_carlo_sweep(sc, w, grid, trials=40, seed=12)
+            assert cap == monte_carlo_sweep(sc, w, grid, trials=40, seed=12, metric="capacity")
+
+    def test_row_independent_of_surrounding_grid(self):
+        sc = make_scenario()
+        w = design_weights(sc).weights
+        sigma = math.radians(0.4)
+        alone = monte_carlo_sweep(sc, w, [sigma], trials=60, seed=13)
+        inside = monte_carlo_sweep(
+            sc, w, [0.0, math.radians(0.1), sigma, math.radians(0.8)], trials=60, seed=13
+        )
+        assert (alone.mean_db[0], alone.std_db[0]) == (inside.mean_db[2], inside.std_db[2])
+
+    def test_capacity_none_for_several_users(self):
+        sc = replace(make_scenario(), users=(USER, GeodeticPosition.from_degrees(137.0, -21.0)))
+        [(psi, cap)] = monte_carlo_sweeps(sc, [WeightVector.uniform(64)], [0.0], trials=2)
+        assert cap is None and psi.metric == "psi"
 
     def test_bitwise_reproducible(self):
         sc = make_scenario()
@@ -224,6 +265,14 @@ class TestCapacity:
             capacity(sc, WeightVector.uniform(16), [[0.3, 0.3]])
         with pytest.raises(UnsupportedScenarioError):
             monte_carlo_sweep(sc, WeightVector.uniform(16), [0.0], trials=2, metric="capacity")
+
+    def test_single_trial_sweep_matches_capacity(self):
+        sc = make_scenario()
+        w = design_weights(sc).weights
+        sigma = math.radians(0.5)
+        sweep = monte_carlo_sweep(sc, w, [sigma], trials=1, seed=14, metric="capacity")
+        assert sweep.mean_db[0] == capacity(sc, w, realised_directions(sc, sigma, 1, 14)[0])
+        assert sweep.std_db[0] == 0.0
 
     def test_direction_list_accepted(self):
         sc = make_scenario()
