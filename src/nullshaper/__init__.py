@@ -12,11 +12,8 @@ the experiment types and writes CSV/SVG artifacts.
 from .array import (
     ArrayModel,
     Direction,
-    ElementPattern,
-    SignalSnapshot,
     WeightVector,
     array_factor,
-    array_output,
     gain,
     gains,
     null_width,
@@ -44,8 +41,6 @@ from .geodesy import (
 from .optimizer import (
     Objective,
     OptimizationResult,
-    PolishConfig,
-    PsoConfig,
     mitigation_effectiveness,
     optimize,
 )
@@ -102,13 +97,10 @@ __all__ = [
     # array
     "ArrayModel",
     "Direction",
-    "ElementPattern",
     "WeightVector",
-    "SignalSnapshot",
     "array_factor",
     "gain",
     "gains",
-    "array_output",
     "pattern_cut",
     "null_width",
     # uncertainty
@@ -121,8 +113,6 @@ __all__ = [
     "weighted_interferer_gain",
     # optimizer
     "Objective",
-    "PsoConfig",
-    "PolishConfig",
     "OptimizationResult",
     "mitigation_effectiveness",
     "optimize",

@@ -19,21 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "ElementPattern",
     "ArrayModel",
     "Direction",
     "WeightVector",
-    "SignalSnapshot",
     "array_factor",
     "gain",
     "gains",
-    "array_output",
     "pattern_cut",
     "null_width",
 ]
@@ -42,12 +38,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 #: Export floor replacing -inf when a pattern sample is exactly zero.
 DEFAULT_FLOOR_DB = -100.0
-
-
-class ElementPattern(Enum):
-    """Per-element radiation pattern; only the isotropic element is modelled."""
-
-    OMNI = "omni"
 
 
 @dataclass(frozen=True)
@@ -59,7 +49,6 @@ class ArrayModel:
     dx: float
     dy: float
     wavelength: float
-    element: ElementPattern = ElementPattern.OMNI
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -131,7 +120,7 @@ class Direction:
 
 
 def _values_of(w) -> np.ndarray:
-    """Accept a WeightVector/SignalSnapshot or any complex array-like."""
+    """Accept a WeightVector or any complex array-like."""
     return np.asarray(getattr(w, "values", w), dtype=complex)
 
 
@@ -190,29 +179,6 @@ class WeightVector:
         return np.angle(self.values) % (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class SignalSnapshot:
-    """One complex sample per element, flattened in the weight order."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex).reshape(-1).copy()
-        if not np.all(np.isfinite(values.view(float))):
-            raise ValueError("non-finite sample")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def element_factor(pattern: ElementPattern, theta, phi):
-    if pattern is ElementPattern.OMNI:
-        return np.ones_like(np.asarray(theta, dtype=float))
-    raise NotImplementedError(f"element pattern {pattern}")
-
-
 def array_factor(arr: ArrayModel, w, d: Direction) -> complex:
     """Complex array response toward one direction."""
     values = _values_of(w)
@@ -222,27 +188,16 @@ def array_factor(arr: ArrayModel, w, d: Direction) -> complex:
 
 
 def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
-    """Power gain |element factor * AF|^2 toward many directions at once."""
+    """Power gain |AF|^2 toward many directions at once."""
     values = _values_of(w)
     if values.size != arr.size:
         raise ValueError(f"weight length {values.size} != array size {arr.size}")
-    response = arr.steering(theta, phi) @ values
-    xi = element_factor(arr.element, theta, phi)
-    return np.abs(xi * response) ** 2
+    return np.abs(arr.steering(theta, phi) @ values) ** 2
 
 
 def gain(arr: ArrayModel, w, d: Direction) -> float:
     """Power gain toward one direction."""
     return float(gains(arr, w, d.theta, d.phi))
-
-
-def array_output(w, s) -> complex:
-    """Beamformer output w^H s for one snapshot."""
-    wv = _values_of(w)
-    sv = _values_of(s)
-    if wv.size != sv.size:
-        raise ValueError(f"weight length {wv.size} != snapshot length {sv.size}")
-    return complex(np.vdot(wv, sv))
 
 
 def pattern_cut(

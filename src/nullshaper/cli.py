@@ -21,6 +21,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,22 @@ def _sigma_value_token(value_deg: float) -> str:
     return f"{value_deg:g}"
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> list[float]:
+    """argparse type: a non-empty comma list of finite floats."""
+    values = [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError("empty list")
+    return values
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nullshaper", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"nullshaper {__version__}")
@@ -100,7 +117,7 @@ def _build_parser() -> _Parser:
 
     pattern = sub.add_parser("pattern", help="export a gain pattern cut")
     add_common(pattern)
-    pattern.add_argument("--phi-cut", type=float, default=0.0,
+    pattern.add_argument("--phi-cut", type=_finite, default=0.0,
                          help="azimuth of the cut plane in degrees (default 0)")
     pattern.add_argument("--samples", type=int, default=3601)
     pattern.add_argument("--uniform", action="store_true",
@@ -111,35 +128,33 @@ def _build_parser() -> _Parser:
 
     sweep = sub.add_parser("sweep", help="robustness sweep over interferer error")
     add_common(sweep)
-    sweep.add_argument("--trials", type=int, default=None,
+    sweep.add_argument("--trials", type=int, default=1000,
                        help="Monte-Carlo trials per sigma_i point (default 1000)")
-    sweep.add_argument("--sigma-s", type=str, default=None,
+    sweep.add_argument("--sigma-s", type=_finite_list, default=None,
                        help="comma list of shaping sigmas in degrees, one design each "
                             "(default: the scenario's interferer sigma_s)")
-    sweep.add_argument("--sigma-i-max", type=float, default=1.0)
-    sweep.add_argument("--sigma-i-step", type=float, default=0.1)
+    sweep.add_argument("--sigma-i-max", type=_finite, default=1.0)
+    sweep.add_argument("--sigma-i-step", type=_finite, default=0.1)
     sweep.add_argument("--capacity", action="store_true",
                        help="also sweep single-user Shannon capacity")
 
     geodesy = sub.add_parser("geodesy", help="pointing error vs ground distance tables")
     add_common(geodesy)
-    geodesy.add_argument("--altitudes-km", type=str, default="400,600,800,1000,1200",
+    geodesy.add_argument("--altitudes-km", type=_finite_list, default="400,600,800,1000,1200",
                          help="comma list of satellite altitudes in km")
-    geodesy.add_argument("--deviation-max", type=float, default=1.0,
+    geodesy.add_argument("--deviation-max", type=_finite, default=1.0,
                          help="swept deviation maximum in degrees")
-    geodesy.add_argument("--deviation-step", type=float, default=0.1)
-    geodesy.add_argument("--fixed-deviation", type=float, default=0.5,
+    geodesy.add_argument("--deviation-step", type=_finite, default=0.1)
+    geodesy.add_argument("--fixed-deviation", type=_finite, default=0.5,
                          help="held deviation of the other axis in degrees")
-    geodesy.add_argument("--expected-azimuth-deg", type=float, default=None,
+    geodesy.add_argument("--expected-azimuth-deg", type=_finite, default=None,
                          help="expected-ray azimuth; default derived from the first interferer")
-    geodesy.add_argument("--expected-elevation-deg", type=float, default=None,
+    geodesy.add_argument("--expected-elevation-deg", type=_finite, default=None,
                          help="expected-ray elevation; default derived from the first interferer")
     return parser
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    from dataclasses import replace
-
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if args.kappa is not None:
@@ -151,6 +166,14 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
             raise ScenarioError("L must be >= 1")
         scenario = replace(scenario, samples_per_axis=args.samples_per_axis)
     return scenario
+
+
+def _grid_deg(maximum: float, step: float, what: str) -> list[float]:
+    """[0, step, 2 step, ...] up to ``maximum``, rounded to whole steps."""
+    if not (maximum >= 0 and step > 0):
+        raise _UsageError(f"{what} grid must have max >= 0 and step > 0")
+    steps = int(round(maximum / step))
+    return [i * step for i in range(steps + 1)]
 
 
 def _cmd_pattern(scenario: Scenario, args, out_dir: Path) -> int:
@@ -217,35 +240,20 @@ def _cmd_optimize(scenario: Scenario, args, out_dir: Path) -> int:
     return _EXIT_OK
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise _UsageError(f"invalid {what} list {text!r}: {exc}") from exc
-    if not values:
-        raise _UsageError(f"{what} list is empty")
-    return values
-
-
 def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
-    if args.sigma_s is not None:
-        sigma_s_list = _parse_float_list(args.sigma_s, "sigma-s")
-    else:
-        sigma_s_list = [math.degrees(scenario.interferers[0].sigma_s)]
-    if args.sigma_i_max < 0 or args.sigma_i_step <= 0:
-        raise _UsageError("sigma-i grid must have max >= 0 and step > 0")
-    trials = args.trials if args.trials is not None else 1000
-    if trials < 1:
+    sigma_s_list = args.sigma_s or [math.degrees(scenario.interferers[0].sigma_s)]
+    if min(sigma_s_list) < 0:
+        raise _UsageError("--sigma-s values must be >= 0")
+    sigma_i_deg = _grid_deg(args.sigma_i_max, args.sigma_i_step, "sigma-i")
+    if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
 
-    steps = int(round(args.sigma_i_max / args.sigma_i_step))
-    sigma_i_deg = [i * args.sigma_i_step for i in range(steps + 1)]
     sigma_i_rad = [math.radians(s) for s in sigma_i_deg]
 
     weights = [
         design_weights(scenario.with_sigma_s(math.radians(s))).weights for s in sigma_s_list
     ]
-    results = monte_carlo_sweeps(scenario, weights, sigma_i_rad, trials=trials,
+    results = monte_carlo_sweeps(scenario, weights, sigma_i_rad, trials=args.trials,
                                  seed=scenario.seed)
     sweeps = {s: psi for s, (psi, _) in zip(sigma_s_list, results)}
     capacity_sweeps = {}
@@ -312,11 +320,9 @@ def _expected_ray(scenario: Scenario, args) -> tuple[float, float]:
 
 
 def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
-    altitudes_km = _parse_float_list(args.altitudes_km, "altitudes")
-    if args.deviation_max < 0 or args.deviation_step <= 0:
-        raise _UsageError("deviation grid must have max >= 0 and step > 0")
-    steps = int(round(args.deviation_max / args.deviation_step))
-    deviations_deg = [i * args.deviation_step for i in range(steps + 1)]
+    if min(args.altitudes_km) <= 0:
+        raise _UsageError("--altitudes-km values must be > 0")
+    deviations_deg = _grid_deg(args.deviation_max, args.deviation_step, "deviation")
     azimuth, elevation = _expected_ray(scenario, args)
 
     files = {
@@ -327,7 +333,7 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
     for stem, to_pair in files.items():
         rows = []
         series = {}
-        for alt_km in altitudes_km:
+        for alt_km in args.altitudes_km:
             sat = GeodeticPosition(
                 scenario.satellite.longitude, scenario.satellite.latitude, alt_km * 1000.0
             )
@@ -379,9 +385,6 @@ def main(argv=None) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return _EXIT_SCENARIO
 
-    if scenario.pso is not None:
-        print("note: the scenario's pso block is ignored; weights are designed in closed form",
-              file=sys.stderr)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

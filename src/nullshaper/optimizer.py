@@ -23,7 +23,7 @@ Weights are returned at unit norm, which meets the power budget
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .uncertainty import NullSampleGrid
 
 __all__ = [
     "LOADING",
-    "PolishConfig",
-    "PsoConfig",
     "Objective",
     "OptimizationResult",
     "mitigation_effectiveness",
@@ -49,60 +47,6 @@ _LOG_FLOOR = 1e-300
 #: effectiveness on the demo LEO sweep), so rerun that sweep before
 #: raising it.
 LOADING = 1e-8
-
-
-@dataclass(frozen=True)
-class PolishConfig:
-    """Coordinate-descent settings of the former swarm search.
-
-    Still parsed and validated so existing scenario files load, but no
-    longer used: weights are designed in closed form.
-    """
-
-    sweeps: int = 50
-    step: float = 0.05
-    shrink: float = 0.5
-
-    def __post_init__(self):
-        if self.sweeps < 0 or self.step <= 0.0 or not 0.0 < self.shrink < 1.0:
-            raise ValueError("invalid polish configuration")
-
-
-@dataclass(frozen=True)
-class PsoConfig:
-    """Hyper-parameters of the former particle-swarm search.
-
-    Still parsed and validated so existing scenario files and callers keep
-    working, but ignored by :func:`optimize`. ``swarm_size=None`` resolved
-    to ceil(8 * sqrt(dim)) for a search space of dim = 2 m n real
-    coordinates.
-    """
-
-    swarm_size: int | None = None
-    iterations: int = 300
-    inertia: float = 0.729
-    cognitive: float = 1.49445
-    social: float = 1.49445
-    velocity_clamp: float = 0.5
-    seed: int = 0
-    polish: PolishConfig | None = field(default_factory=PolishConfig)
-
-    def __post_init__(self):
-        if self.swarm_size is not None and self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not 0.0 <= self.inertia <= 1.0:
-            raise ValueError("inertia must lie in [0, 1]")
-        if self.cognitive <= 0.0 or self.social <= 0.0:
-            raise ValueError("acceleration coefficients must be positive")
-        if self.velocity_clamp <= 0.0:
-            raise ValueError("velocity clamp must be positive")
-
-    def resolved_swarm_size(self, dim: int) -> int:
-        if self.swarm_size is not None:
-            return self.swarm_size
-        return max(2, math.ceil(8.0 * math.sqrt(dim)))
 
 
 def _response_power(steering: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -226,13 +170,12 @@ class OptimizationResult:
     clamped: bool
 
 
-def optimize(obj: Objective, cfg: PsoConfig | None = None) -> OptimizationResult:
+def optimize(obj: Objective) -> OptimizationResult:
     """Weights maximising w^H A w / w^H (B + delta I) w, at unit norm.
 
     B + delta I = L L^H is Cholesky-factored, the top eigenvector v of
     the whitened user form L^-1 A L^-H is found with ``eigh``, and
-    w = L^-H v. Deterministic; ``cfg`` is accepted so existing callers
-    keep working and is ignored.
+    w = L^-H v. Deterministic.
     """
     size = obj.array.size
     users = obj._user_steering

@@ -2,10 +2,11 @@
 
 A scenario fixes the satellite, the planar array, the served users, and
 the interferers with their shaping (sigma_s, the uncertainty assumed at
-design time) and actual spread (sigma_i, the deviation the world really
-has). Ground positions are mapped into the nadir-pointing array frame,
-weights are designed against the shaped uncertainty, and sweeps then score
-those weights against interferer positions drawn with varying sigma_i.
+design time). Ground positions are mapped into the nadir-pointing array
+frame, weights are designed against the shaped uncertainty, and sweeps
+then score those weights against interferer positions drawn with each
+actual spread (sigma_i, the deviation the world really has) of a grid
+the caller gives.
 
 Sweeps use common random numbers: one block of standard normals, drawn
 once from the seed, is scaled by every sigma_i, so every sigma_i point,
@@ -35,14 +36,7 @@ from .geodesy import (
     geodetic_to_ecef,
     ned_to_ecef_rotation,
 )
-from .optimizer import (
-    Objective,
-    OptimizationResult,
-    PolishConfig,
-    PsoConfig,
-    _response_power,
-    optimize,
-)
+from .optimizer import Objective, OptimizationResult, _response_power, optimize
 from .uncertainty import InterfererBelief, NullSampleGrid, build_grid
 
 __all__ = [
@@ -92,30 +86,24 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class InterfererSite:
-    """Interferer nominal location plus shaping and actual spreads (radians).
+    """Interferer nominal location plus its shaping spread (radians).
 
     ``position`` is either a ground point or a direction in the array
-    frame; sigma_s is the design-time uncertainty, sigma_i the deviation
-    used when the sweep draws realised positions.
+    frame; sigma_s is the design-time uncertainty. The deviations a sweep
+    draws realised positions with are the sweep's own sigma_i grid.
     """
 
     position: GeodeticPosition | Direction
     sigma_s: float = 0.0
-    sigma_i: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_s < 0.0 or self.sigma_i < 0.0:
-            raise ValueError("sigma_s and sigma_i must be >= 0")
+        if self.sigma_s < 0.0:
+            raise ValueError("sigma_s must be >= 0")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full experiment description.
-
-    ``pso`` is the scenario file's legacy swarm block, or None when the
-    file has none. It is parsed and validated but ignored: weights are
-    designed in closed form.
-    """
+    """Full experiment description."""
 
     satellite: GeodeticPosition
     array: ArrayModel
@@ -124,7 +112,6 @@ class Scenario:
     samples_per_axis: int = 3
     kappa: int = 1
     seed: int = 0
-    pso: PsoConfig | None = None
     link_budget: LinkBudget = field(default_factory=LinkBudget)
     ellipsoid: EllipsoidParams = WGS84
 
@@ -421,10 +408,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     Expected keys: ``satellite{lon_deg, lat_deg, alt_m}``,
     ``array{m, n, dx_over_lambda, dy_over_lambda, freq_hz}``, ``users``,
     ``interferers`` (each entry a ground point ``{lon_deg, lat_deg}`` or a
-    direction ``{theta_deg, phi_deg}``, interferers adding ``sigma_s_deg``
-    and ``sigma_i_deg``), ``shaping{L, kappa}``, optional ``pso{...}``
-    (legacy swarm settings: validated, then ignored),
-    optional ``link_budget{...}``, and ``seed``.
+    direction ``{theta_deg, phi_deg}``, interferers adding ``sigma_s_deg``),
+    ``shaping{L, kappa}``, optional ``link_budget{...}``, and ``seed``.
+    Keys not listed here, such as the ``pso`` block and ``sigma_i_deg``
+    of older files, are not read.
     """
     try:
         sat_entry = raw["satellite"]
@@ -444,25 +431,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
             InterfererSite(
                 position=_position_from_entry(j, "interferer"),
                 sigma_s=math.radians(float(j.get("sigma_s_deg", 0.0))),
-                sigma_i=math.radians(float(j.get("sigma_i_deg", 0.0))),
             )
             for j in raw["interferers"]
         )
         shaping = raw.get("shaping", {})
         seed = int(raw.get("seed", 0))
-        pso = None
-        if "pso" in raw:
-            pso_entry = dict(raw["pso"])
-            pso_entry.setdefault("seed", seed)
-            if "polish" in pso_entry:
-                polish_entry = pso_entry["polish"]
-                if isinstance(polish_entry, dict):
-                    pso_entry["polish"] = PolishConfig(**polish_entry)
-                elif polish_entry in (None, False):
-                    pso_entry["polish"] = None
-                else:
-                    raise ScenarioError(f"invalid pso.polish entry {polish_entry!r}")
-            pso = PsoConfig(**pso_entry)
         budget_entry = raw.get("link_budget", {})
         scenario = Scenario(
             satellite=satellite,
@@ -472,7 +445,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
             samples_per_axis=int(shaping.get("L", 3)),
             kappa=int(shaping.get("kappa", 1)),
             seed=seed,
-            pso=pso,
             link_budget=LinkBudget(**budget_entry) if budget_entry else LinkBudget(),
         )
     except ScenarioError:

@@ -25,7 +25,6 @@ __all__ = [
     "build_grid",
     "normalize_weights",
     "weighted_interferer_gain",
-    "write_grid_csv",
 ]
 
 
@@ -52,10 +51,6 @@ class InterfererBelief:
     @classmethod
     def isotropic(cls, mean_theta: float, mean_phi: float, sigma: float) -> "InterfererBelief":
         return cls(mean_theta, mean_phi, sigma, sigma)
-
-    def covariance(self) -> np.ndarray:
-        """Diagonal 2x2 covariance of (theta, phi)."""
-        return np.diag([self.sigma_theta**2, self.sigma_phi**2])
 
 
 def pdf(belief: InterfererBelief, theta, phi):
@@ -170,13 +165,3 @@ def weighted_interferer_gain(arr: ArrayModel, w, grid: NullSampleGrid) -> float:
     sum_z p_z * G(theta_z, phi_z)."""
     return float(grid.weights @ gains(arr, w, grid.thetas, grid.phis))
 
-
-def write_grid_csv(grid: NullSampleGrid, path) -> None:
-    """Dump the grid for debugging: theta_deg, phi_deg, weight rows."""
-    lines = ["theta_deg,phi_deg,weight"]
-    for (theta, phi), weight in zip(grid.directions, grid.weights):
-        lines.append(
-            f"{math.degrees(theta)!r},{math.degrees(phi)!r},{float(weight)!r}"
-        )
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")

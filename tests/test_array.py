@@ -6,10 +6,8 @@ import pytest
 from nullshaper.array import (
     ArrayModel,
     Direction,
-    SignalSnapshot,
     WeightVector,
     array_factor,
-    array_output,
     gain,
     gains,
     null_width,
@@ -137,31 +135,6 @@ class TestGain:
         assert gain(arr, w, Direction(0.4, 1.3 + 2 * math.pi)) == pytest.approx(
             gain(arr, w, Direction(0.4, 1.3)), rel=1e-12
         )
-
-
-class TestArrayOutput:
-    def test_basis_weight_picks_one_sample(self):
-        w = WeightVector.unit(6, 0)
-        s = SignalSnapshot(np.arange(6) + 1j)
-        # w^H s conjugates the weight, so the first sample comes out as-is
-        assert array_output(w, s) == pytest.approx(s.values[0], rel=1e-15)
-
-    def test_matched_snapshot_gives_unit_output(self):
-        rng = np.random.default_rng(7)
-        w = random_unit_weights(rng, 10)
-        assert array_output(w, SignalSnapshot(w.values)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_matches_elementwise_conjugate_sum(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            w = rng.normal(size=12) + 1j * rng.normal(size=12)
-            s = rng.normal(size=12) + 1j * rng.normal(size=12)
-            expected = sum(np.conj(a) * b for a, b in zip(w, s))
-            assert array_output(w, s) == pytest.approx(expected, rel=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            array_output(np.ones(3), np.ones(4))
 
 
 class TestPatternCut:

@@ -7,7 +7,7 @@ import pytest
 
 from nullshaper.array import ArrayModel, Direction, WeightVector, gain
 from nullshaper.geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
-from nullshaper.optimizer import Objective, PolishConfig, PsoConfig, mitigation_effectiveness
+from nullshaper.optimizer import Objective, mitigation_effectiveness
 from nullshaper.simulation import (
     InterfererSite,
     LinkBudget,
@@ -30,22 +30,13 @@ SAT = GeodeticPosition.from_degrees(138.53, -22.024, 800e3)
 USER = GeodeticPosition.from_degrees(136.0, -22.0)
 INTERFERER = GeodeticPosition.from_degrees(141.5, -19.0)
 
-FAST_PSO = PsoConfig(iterations=40, seed=11, polish=PolishConfig(sweeps=8))
 
-
-def make_scenario(sigma_s_deg=0.3, sigma_i_deg=0.5, m=8, n=8, **kwargs):
+def make_scenario(sigma_s_deg=0.3, m=8, n=8, **kwargs):
     return Scenario(
         satellite=SAT,
         array=ArrayModel.from_frequency(m, n, 2.0e10),
         users=(USER,),
-        interferers=(
-            InterfererSite(
-                position=INTERFERER,
-                sigma_s=math.radians(sigma_s_deg),
-                sigma_i=math.radians(sigma_i_deg),
-            ),
-        ),
-        pso=FAST_PSO,
+        interferers=(InterfererSite(position=INTERFERER, sigma_s=math.radians(sigma_s_deg)),),
         **kwargs,
     )
 
@@ -110,7 +101,6 @@ class TestDesignWeights:
             array=ArrayModel.half_wavelength(20, 1, 0.015),
             users=(Direction(math.radians(30.0), 0.0),),
             interferers=(InterfererSite(Direction(0.0, 0.0), sigma_s=math.radians(1.0)),),
-            pso=FAST_PSO,
         )
         result = design_weights(sc)
         user_gain = gain(sc.array, result.weights, Direction(math.radians(30.0), 0.0))
@@ -259,7 +249,6 @@ class TestCapacity:
             array=ArrayModel.from_frequency(4, 4, 2.0e10),
             users=(USER, GeodeticPosition.from_degrees(137.0, -21.0)),
             interferers=(InterfererSite(INTERFERER),),
-            pso=FAST_PSO,
         )
         with pytest.raises(UnsupportedScenarioError):
             capacity(sc, WeightVector.uniform(16), [[0.3, 0.3]])
@@ -320,11 +309,12 @@ class TestScenarioLoading:
         sc = load_scenario(path)
         assert sc.array.size == 64
         assert sc.seed == 7
-        assert sc.pso.seed == 7
-        assert sc.pso.iterations == 40
-        assert sc.pso.polish.sweeps == 8
         assert sc.interferers[0].sigma_s == pytest.approx(math.radians(0.3))
         assert sc.samples_per_axis == 3 and sc.kappa == 1
+        # older files' pso block and sigma_i_deg key are not read
+        raw = self.scenario_dict()
+        del raw["pso"], raw["interferers"][0]["sigma_i_deg"]
+        assert scenario_from_dict(raw) == sc
 
     def test_direction_entries(self):
         raw = self.scenario_dict()

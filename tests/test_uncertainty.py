@@ -12,7 +12,6 @@ from nullshaper.uncertainty import (
     normalize_weights,
     pdf,
     weighted_interferer_gain,
-    write_grid_csv,
 )
 
 WL = 0.015
@@ -224,16 +223,3 @@ class TestWeightedInterfererGain:
             2.0 * weighted_interferer_gain(arr, w, grid), rel=1e-12
         )
 
-
-class TestGridCsv:
-    def test_round_trips_through_degrees(self, tmp_path):
-        belief = InterfererBelief(0.2, 0.9, 0.02, 0.03)
-        grid = build_grid(belief, 3, 1)
-        path = tmp_path / "grid.csv"
-        write_grid_csv(grid, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "theta_deg,phi_deg,weight"
-        assert len(lines) == 1 + len(grid)
-        theta, phi, weight = (float(v) for v in lines[1].split(","))
-        assert math.radians(theta) == pytest.approx(grid.thetas[0], rel=1e-15)
-        assert weight == grid.weights[0]
