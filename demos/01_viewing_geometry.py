@@ -10,6 +10,8 @@ geodetic conversion, and great-circle distance between the footprints.
 
 import math
 
+import numpy as np
+
 from nullshaper import AerPosition, GeodeticPosition, angular_deviation_to_ground_distance
 
 SAT_LON_DEG, SAT_LAT_DEG = 138.53, -22.024
@@ -29,8 +31,10 @@ for alt_km in (400, 600, 800, 1000, 1200):
 
 print("\nground miss at 800 km, by elevation error:")
 sat = GeodeticPosition.from_degrees(SAT_LON_DEG, SAT_LAT_DEG, 800e3)
-for dev_deg in (0.1, 0.25, 0.5, 0.75, 1.0):
-    zeta = angular_deviation_to_ground_distance(sat, EXPECTED, 0.0, math.radians(dev_deg))
+deviations_deg = np.array([0.1, 0.25, 0.5, 0.75, 1.0])
+# one call solves every deviated ray; a ray that missed the planet would read NaN
+zetas = angular_deviation_to_ground_distance(sat, EXPECTED, 0.0, np.radians(deviations_deg))
+for dev_deg, zeta in zip(deviations_deg, zetas):
     print(f"  {dev_deg:5.2f} deg elevation error -> {zeta / 1000.0:7.3f} km")
 
 print(

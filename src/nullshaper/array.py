@@ -76,26 +76,23 @@ class ArrayModel:
     def size(self) -> int:
         return self.m * self.n
 
-    def element_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (east, north) element offsets in metres, ravel order."""
-        mi, ni = np.meshgrid(np.arange(self.m), np.arange(self.n), indexing="ij")
-        return mi.ravel() * self.dx, ni.ravel() * self.dy
-
     def steering(self, theta, phi) -> np.ndarray:
         """Steering phasors exp(-i k . r) for one or many directions.
 
         Scalars give a (size,) vector; arrays of P directions give (P, size).
+        The phasor separates into a row factor and a column factor, so each
+        direction takes m + n complex exponentials, multiplied out in ravel
+        order.
         """
         theta_arr = np.asarray(theta, dtype=float)
         phi_arr = np.asarray(phi, dtype=float)
         scalar = theta_arr.ndim == 0 and phi_arr.ndim == 0
         theta_arr, phi_arr = np.atleast_1d(theta_arr), np.atleast_1d(phi_arr)
-        x_off, y_off = self.element_offsets()
         sin_theta = np.sin(theta_arr)
-        path = np.outer(sin_theta * np.cos(phi_arr), x_off) + np.outer(
-            sin_theta * np.sin(phi_arr), y_off
-        )
-        phasors = np.exp((-2j * np.pi / self.wavelength) * path)
+        minus_ik = -2j * np.pi / self.wavelength
+        rows = np.exp(minus_ik * np.outer(sin_theta * np.cos(phi_arr), np.arange(self.m) * self.dx))
+        cols = np.exp(minus_ik * np.outer(sin_theta * np.sin(phi_arr), np.arange(self.n) * self.dy))
+        phasors = (rows[:, :, None] * cols[:, None, :]).reshape(rows.shape[0], self.size)
         return phasors[0] if scalar else phasors
 
 

@@ -55,6 +55,10 @@ _EXIT_USAGE = 1
 _EXIT_SCENARIO = 2
 _EXIT_RUNTIME = 3
 
+#: Most points a sweep sigma_i grid or a geodesy deviation grid may have;
+#: a longer grid is a usage error, raised before anything is allocated.
+MAX_GRID_POINTS = 100_001
+
 
 class _UsageError(Exception):
     pass
@@ -65,18 +69,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _write_csv(path: Path, seed: int, header, columns, footer_comments=()) -> None:
+    """Write the comment line, the header and one row per element of the
+    equal-length ``columns``.
 
-
-def _write_csv(path: Path, seed: int, header, rows, footer_comments=()) -> None:
-    lines = [f"# tool=nullshaper {__version__} seed={seed}"]
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    Values print as their Python ``repr``: the shortest round-trip form for
+    floats (``nan`` for NaN) and plain digits for integers.
+    """
+    lines = [f"# tool=nullshaper {__version__} seed={seed}", ",".join(header)]
+    row_format = ",".join(["%r"] * len(header))
+    lines.extend(row_format % row for row in zip(*(np.asarray(c).tolist() for c in columns)))
     lines.extend(footer_comments)
     path.write_text("\n".join(lines) + "\n")
 
@@ -169,11 +171,14 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def _grid_deg(maximum: float, step: float, what: str) -> list[float]:
-    """[0, step, 2 step, ...] up to ``maximum``, rounded to whole steps."""
+    """[0, step, 2 step, ...] up to ``maximum``, rounded to whole steps and
+    at most ``MAX_GRID_POINTS`` long."""
     if not (maximum >= 0 and step > 0):
         raise _UsageError(f"{what} grid must have max >= 0 and step > 0")
-    steps = int(round(maximum / step))
-    return [i * step for i in range(steps + 1)]
+    steps = maximum / step
+    if steps > MAX_GRID_POINTS - 1:
+        raise _UsageError(f"{what} grid would have more than {MAX_GRID_POINTS} points")
+    return [i * step for i in range(int(round(steps)) + 1)]
 
 
 def _cmd_pattern(scenario: Scenario, args, out_dir: Path) -> int:
@@ -189,15 +194,15 @@ def _cmd_pattern(scenario: Scenario, args, out_dir: Path) -> int:
     )
     token = _sigma_value_token(args.phi_cut)
     csv_path = out_dir / f"pattern_phi{token}.csv"
-    rows = [(math.degrees(a), float(g)) for a, g in zip(angles, levels)]
+    angles_deg = np.degrees(angles)
     if args.format in ("csv", "both"):
-        _write_csv(csv_path, scenario.seed, ("angle_deg", "gain_db"), rows)
+        _write_csv(csv_path, scenario.seed, ("angle_deg", "gain_db"), (angles_deg, levels))
         print(f"wrote {csv_path}")
     if args.format in ("svg", "both"):
         svg_path = out_dir / f"pattern_phi{token}.svg"
         write_line_chart(
             svg_path,
-            {"gain": ([r[0] for r in rows], [r[1] for r in rows])},
+            {"gain": (angles_deg.tolist(), levels.tolist())},
             f"Gain cut at azimuth {args.phi_cut:g} deg",
             "polar angle [deg]",
             "gain [dB]",
@@ -211,26 +216,20 @@ def _cmd_optimize(scenario: Scenario, args, out_dir: Path) -> int:
     result = design_weights(scenario)
     elapsed = time.perf_counter() - started
 
-    values = result.weights.values
-    amplitudes = result.weights.amplitudes()
-    phases = result.weights.phases()
-    n_cols = scenario.array.n
-    weight_rows = [
-        (idx // n_cols, idx % n_cols, values[idx].real, values[idx].imag,
-         float(amplitudes[idx]), float(phases[idx]))
-        for idx in range(values.size)
-    ]
+    weights = result.weights
+    m_index, n_index = np.divmod(np.arange(weights.values.size), scenario.array.n)
     _write_csv(
         out_dir / "weights.csv",
         scenario.seed,
         ("m", "n", "re", "im", "amp", "phase_rad"),
-        weight_rows,
+        (m_index, n_index, weights.values.real, weights.values.imag,
+         weights.amplitudes(), weights.phases()),
     )
     _write_csv(
         out_dir / "trace.csv",
         scenario.seed,
         ("iteration", "best_psi_db", "evaluations"),
-        [(0, result.psi_db, result.evaluations)],
+        ([0], [result.psi_db], [result.evaluations]),
     )
     print(
         f"psi_db={result.psi_db:.3f} evaluations={result.evaluations} "
@@ -238,6 +237,11 @@ def _cmd_optimize(scenario: Scenario, args, out_dir: Path) -> int:
         f"wall_time_s={elapsed:.3f}"
     )
     return _EXIT_OK
+
+
+def _sweep_columns(sweep) -> tuple:
+    return (sweep.sigma_i_deg, sweep.mean_db, sweep.std_db,
+            [sweep.trials] * len(sweep.sigma_i_deg))
 
 
 def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
@@ -269,23 +273,22 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
         if baseline is not None and sigma_s_deg != 0.0:
             cross = crossover_sigma(baseline, sweep)
             footer.append(
-                f"# crossover_vs_sigma_s_0_deg={_fmt(cross) if cross is not None else 'none'}"
+                f"# crossover_vs_sigma_s_0_deg={float(cross)!r}" if cross is not None
+                else "# crossover_vs_sigma_s_0_deg=none"
             )
         token = _sigma_value_token(sigma_s_deg)
-        rows = list(zip(sweep.sigma_i_deg, sweep.mean_db, sweep.std_db,
-                        [sweep.trials] * len(sweep.sigma_i_deg)))
         if args.format in ("csv", "both"):
             path = out_dir / f"sweep_sigmas_{token}.csv"
             _write_csv(path, scenario.seed,
-                       ("sigma_i_deg", "psi_db_mean", "psi_db_std", "trials"), rows, footer)
+                       ("sigma_i_deg", "psi_db_mean", "psi_db_std", "trials"),
+                       _sweep_columns(sweep), footer)
             print(f"wrote {path}")
         cap = capacity_sweeps.get(sigma_s_deg)
         if cap is not None and args.format in ("csv", "both"):
             path = out_dir / f"capacity_{token}.csv"
-            cap_rows = list(zip(cap.sigma_i_deg, cap.mean_db, cap.std_db,
-                                [cap.trials] * len(cap.sigma_i_deg)))
             _write_csv(path, scenario.seed,
-                       ("sigma_i_deg", "capacity_mean", "capacity_std", "trials"), cap_rows)
+                       ("sigma_i_deg", "capacity_mean", "capacity_std", "trials"),
+                       _sweep_columns(cap))
             print(f"wrote {path}")
 
     if args.format in ("svg", "both"):
@@ -322,38 +325,37 @@ def _expected_ray(scenario: Scenario, args) -> tuple[float, float]:
 def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
     if min(args.altitudes_km) <= 0:
         raise _UsageError("--altitudes-km values must be > 0")
-    deviations_deg = _grid_deg(args.deviation_max, args.deviation_step, "deviation")
+    deviations_deg = np.array(_grid_deg(args.deviation_max, args.deviation_step, "deviation"))
     azimuth, elevation = _expected_ray(scenario, args)
+    expected = AerPosition(azimuth, elevation, 1.0)
+    swept = np.radians(deviations_deg)
+    held = math.radians(args.fixed_deviation)
 
     files = {
         # held azimuth deviation, swept elevation deviation, and vice versa
-        "arc_dtheta": lambda dev_rad: (math.radians(args.fixed_deviation), dev_rad),
-        "arc_dphi": lambda dev_rad: (dev_rad, math.radians(args.fixed_deviation)),
+        "arc_dtheta": (held, swept),
+        "arc_dphi": (swept, held),
     }
-    for stem, to_pair in files.items():
-        rows = []
+    for stem, (d_az, d_el) in files.items():
+        zetas = []
         series = {}
         for alt_km in args.altitudes_km:
             sat = GeodeticPosition(
                 scenario.satellite.longitude, scenario.satellite.latitude, alt_km * 1000.0
             )
-            xs, ys = [], []
-            for dev_deg in deviations_deg:
-                d_az, d_el = to_pair(math.radians(dev_deg))
-                try:
-                    zeta_km = angular_deviation_to_ground_distance(
-                        sat, AerPosition(azimuth, elevation, 1.0), d_az, d_el
-                    ) / 1000.0
-                    rows.append((dev_deg, alt_km, zeta_km, 1))
-                    xs.append(dev_deg)
-                    ys.append(zeta_km)
-                except RayMissError:
-                    rows.append((dev_deg, alt_km, float("nan"), 0))
-            series[f"{alt_km:g} km"] = (xs, ys)
+            # one batch per altitude; NaN marks a ray that misses the planet
+            zeta_km = angular_deviation_to_ground_distance(sat, expected, d_az, d_el) / 1000.0
+            hit = ~np.isnan(zeta_km)
+            series[f"{alt_km:g} km"] = (deviations_deg[hit].tolist(), zeta_km[hit].tolist())
+            zetas.append(zeta_km)
+        zeta_km = np.concatenate(zetas)
+        columns = (np.tile(deviations_deg, len(zetas)),
+                   np.repeat(args.altitudes_km, deviations_deg.size),
+                   zeta_km, (~np.isnan(zeta_km)).astype(int))
         if args.format in ("csv", "both"):
             path = out_dir / f"{stem}.csv"
             _write_csv(path, scenario.seed,
-                       ("deviation_deg", "altitude_km", "zeta_km", "hit"), rows)
+                       ("deviation_deg", "altitude_km", "zeta_km", "hit"), columns)
             print(f"wrote {path}")
         if args.format in ("svg", "both"):
             path = out_dir / f"{stem}.svg"

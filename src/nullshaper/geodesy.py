@@ -14,6 +14,15 @@ Conventions used throughout:
 
 Scalar entry points accept and return small frozen value types; the
 ``*_arrays`` kernels operate on plain ndarrays and carry the heavy loops.
+Where a scalar entry point wraps a kernel it runs a one-element batch, so
+a batch gives, element by element, the bits of one-at-a-time calls.
+
+Look rays are intersected with the ellipsoid in batches, and a ray that
+misses comes back as NaN. :func:`ray_ellipsoid_range`,
+:func:`ground_footprint` and scalar calls of
+:func:`angular_deviation_to_ground_distance` turn a miss into
+:class:`RayMissError`; array calls of the latter keep the NaN, so a table
+keeps one row per deviation.
 """
 
 from __future__ import annotations
@@ -273,8 +282,10 @@ def ecef_to_geodetic_arrays(
 
     The latitude starts from the geocentric value and is refined with the
     fixed-point update lat <- atan2(z + R_N e^2 sin(lat), hypot(x, y)), the
-    altitude being recomputed alongside. Returns (lon, lat, alt, converged)
-    where ``converged`` is a bool array.
+    altitude being recomputed alongside. Each element stops at its own first
+    iterate that moves less than ``tol``, so a batch returns the same bits as
+    element-by-element calls. Returns (lon, lat, alt, converged) where
+    ``converged`` is a bool array.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -286,8 +297,9 @@ def ecef_to_geodetic_arrays(
     for _ in range(max_iter):
         rn = prime_vertical_radius(lat, ell)
         new_lat = np.arctan2(z + rn * ell.eccentricity_sq * np.sin(lat), p)
-        converged = np.abs(new_lat - lat) < tol
-        lat = new_lat
+        settled = np.abs(new_lat - lat) < tol
+        lat = np.where(converged, lat, new_lat)
+        converged = converged | settled
         if np.all(converged):
             break
     rn = prime_vertical_radius(lat, ell)
@@ -328,6 +340,15 @@ def aer_to_geodetic(
     return ecef_to_geodetic(EcefPosition(*ecef), ell)
 
 
+def _haversine_arrays(lon1, lat1, lon2, lat2, mean_radius):
+    """Great-circle distance kernel over a sphere; broadcasts its arguments."""
+    half_dlat = 0.5 * (lat2 - lat1)
+    half_dlon = 0.5 * (lon2 - lon1)
+    eta = np.sin(half_dlat) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(half_dlon) ** 2
+    central = 2.0 * np.arctan2(np.sqrt(eta), np.sqrt(np.maximum(1.0 - eta, 0.0)))
+    return mean_radius * central
+
+
 def haversine_distance(
     p1: GeodeticPosition, p2: GeodeticPosition, mean_radius: float = WGS84.mean_radius
 ) -> float:
@@ -335,11 +356,30 @@ def haversine_distance(
 
     Altitudes are ignored; the result lies in [0, pi * mean_radius].
     """
-    half_dlat = 0.5 * (p2.latitude - p1.latitude)
-    half_dlon = 0.5 * (p2.longitude - p1.longitude)
-    eta = math.sin(half_dlat) ** 2 + math.cos(p1.latitude) * math.cos(p2.latitude) * math.sin(half_dlon) ** 2
-    central = 2.0 * math.atan2(math.sqrt(eta), math.sqrt(max(1.0 - eta, 0.0)))
-    return mean_radius * central
+    return float(_haversine_arrays(p1.longitude, p1.latitude, p2.longitude, p2.latitude, mean_radius))
+
+
+def _ray_ranges(origin, direction, ell: EllipsoidParams):
+    """Ranges from one ECEF ``origin`` along each ray of ``direction`` (an
+    (x, y, z) triple of equal-shape arrays) to the first ellipsoid
+    intersection, in units of each direction's length.
+
+    NaN marks a ray that misses the ellipsoid or meets it only behind the
+    origin. The farther quadratic root lies on the far side of the planet
+    and is never returned.
+    """
+    scale = (ell.semi_major, ell.semi_major, ell.semi_minor)
+    ox, oy, oz = (o / s for o, s in zip(origin, scale))
+    dx, dy, dz = (d / s for d, s in zip(direction, scale))
+    a = dx * dx + dy * dy + dz * dz
+    b = 2.0 * (ox * dx + oy * dy + oz * dz)
+    c = ox * ox + oy * oy + oz * oz - 1.0
+    with np.errstate(invalid="ignore"):
+        sqrt_disc = np.sqrt(b * b - 4.0 * a * c)  # NaN when the ray misses
+    t_near = (-b - sqrt_disc) / (2.0 * a)
+    t_far = (-b + sqrt_disc) / (2.0 * a)
+    t = np.where(t_near > 0.0, t_near, t_far)
+    return np.where(t > 0.0, t, np.nan)
 
 
 def ray_ellipsoid_range(
@@ -348,31 +388,36 @@ def ray_ellipsoid_range(
     """Distance from ``origin`` (ECEF) along ``direction`` to the first
     ellipsoid intersection.
 
-    Raises :class:`RayMissError` when the ray never reaches the surface.
-    The farther quadratic root lies on the far side of the planet and is
-    never returned.
+    Raises :class:`RayMissError` when the ray misses the ellipsoid or meets
+    it only behind the origin.
     """
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
     if not norm > 0.0:
         raise ValueError("direction must be non-zero")
-    unit = direction / norm
-    scale = np.array([ell.semi_major, ell.semi_major, ell.semi_minor])
-    o = np.asarray(origin, dtype=float) / scale
-    d = unit / scale
-    a = d @ d
-    b = 2.0 * (o @ d)
-    c = o @ o - 1.0
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        raise RayMissError("look ray does not intersect the ellipsoid")
-    sqrt_disc = math.sqrt(disc)
-    t_near = (-b - sqrt_disc) / (2.0 * a)
-    t_far = (-b + sqrt_disc) / (2.0 * a)
-    t = t_near if t_near > 0.0 else t_far
-    if t <= 0.0:
-        raise RayMissError("ellipsoid intersections lie behind the ray origin")
-    return float(t)
+    t = float(_ray_ranges(np.asarray(origin, dtype=float), direction / norm, ell))
+    if math.isnan(t):
+        raise RayMissError("look ray does not reach the ellipsoid")
+    return t
+
+
+def _footprints_ecef(sat: GeodeticPosition, azimuth, elevation, ell: EllipsoidParams):
+    """ECEF (x, y, z) arrays of the points where the (azimuth, elevation)
+    rays from ``sat`` first meet the ellipsoid; NaN where a ray misses."""
+    if not np.all(np.isfinite(azimuth)):
+        raise ValueError("non-finite azimuth")
+    if not np.all(np.abs(elevation) <= math.pi / 2 + 1e-15):
+        raise ValueError("elevation outside [-pi/2, pi/2]")
+    # unit NED look vectors (as aer_to_ned), rotated into ECEF element by
+    # element rather than by matmul, so no bit depends on the batch size
+    cos_el = np.cos(elevation)
+    ned = (cos_el * np.sin(azimuth), cos_el * np.cos(azimuth), -np.sin(elevation))
+    rotation = ned_to_ecef_rotation(sat.longitude, sat.latitude)
+    direction = tuple(row[0] * ned[0] + row[1] * ned[1] + row[2] * ned[2] for row in rotation)
+    o = geodetic_to_ecef(sat, ell)
+    origin = (o.x, o.y, o.z)
+    t = _ray_ranges(origin, direction, ell)
+    return tuple(oc + t * dc for oc, dc in zip(origin, direction))
 
 
 def ground_footprint(
@@ -380,30 +425,56 @@ def ground_footprint(
 ) -> GeodeticPosition:
     """Geodetic point where the (azimuth, elevation) ray from ``sat`` first
     meets the ellipsoid surface (slant range solved, not supplied)."""
-    ned = aer_to_ned(AerPosition(azimuth, elevation, 1.0))
-    rotation = ned_to_ecef_rotation(sat.longitude, sat.latitude)
-    direction = rotation @ ned.as_array()
-    origin = geodetic_to_ecef(sat, ell).as_array()
-    t = ray_ellipsoid_range(origin, direction, ell)
-    return ecef_to_geodetic(EcefPosition(*(origin + t * direction)), ell)
+    x, y, z = (float(c) for c in _footprints_ecef(sat, azimuth, elevation, ell))
+    if math.isnan(x):
+        raise RayMissError("look ray does not reach the ellipsoid")
+    return ecef_to_geodetic(EcefPosition(x, y, z), ell)
 
 
 def angular_deviation_to_ground_distance(
     sat: GeodeticPosition,
     expected: AerPosition,
-    delta_azimuth: float,
-    delta_elevation: float,
+    delta_azimuth,
+    delta_elevation,
     ell: EllipsoidParams = WGS84,
-) -> float:
+):
     """Ground separation caused by pointing error.
 
-    Intersects the expected look ray and the ray perturbed by
+    Intersects the expected look ray and the rays perturbed by
     (delta_azimuth, delta_elevation) with the ellipsoid and returns the
-    great-circle distance between the two footprints. Zero deviation gives
-    zero; a ray that misses the planet raises :class:`RayMissError`.
+    great-circle distances between the expected footprint and each
+    perturbed one. The deltas broadcast against each other; all rays are
+    solved in one batch, the expected ray with them, so a zero deviation
+    gives exactly 0.0 and every element carries the same bits as a
+    one-element call.
+
+    Scalar deltas return a float and raise :class:`RayMissError` when
+    either ray misses the planet. Array deltas return an ndarray of the
+    broadcast shape with NaN where a ray misses, everywhere when the
+    expected ray does. A hit point whose latitude iteration fails raises
+    :class:`ConvergenceError`.
     """
-    nominal = ground_footprint(sat, expected.azimuth, expected.elevation, ell)
-    deviated = ground_footprint(
-        sat, expected.azimuth + delta_azimuth, expected.elevation + delta_elevation, ell
+    d_az, d_el = np.broadcast_arrays(
+        np.asarray(delta_azimuth, dtype=float), np.asarray(delta_elevation, dtype=float)
     )
-    return haversine_distance(nominal, deviated, ell.mean_radius)
+    # element 0 is the expected ray itself
+    x, y, z = _footprints_ecef(
+        sat, expected.azimuth + np.append(0.0, d_az), expected.elevation + np.append(0.0, d_el), ell
+    )
+    distance = np.full(x.shape, np.nan)
+    hit = ~np.isnan(x)
+    if hit[0]:  # without the expected footprint no distance is defined
+        lon, lat, alt, converged = ecef_to_geodetic_arrays(x[hit], y[hit], z[hit], ell)
+        if not converged.all():
+            i = int(np.argmin(converged))
+            raise ConvergenceError(
+                f"latitude iteration did not reach {LATITUDE_TOL_RAD} rad in {LATITUDE_MAX_ITER} steps",
+                GeodeticPosition(float(lon[i]), float(lat[i]), float(alt[i])),
+            )
+        distance[hit] = _haversine_arrays(lon[0], lat[0], lon, lat, ell.mean_radius)
+    distance = distance[1:].reshape(d_az.shape)
+    if distance.ndim == 0:
+        if math.isnan(distance):
+            raise RayMissError("look ray does not reach the ellipsoid")
+        return float(distance)
+    return distance

@@ -241,6 +241,23 @@ class TestArrayModel:
         with pytest.raises(ValueError):
             ArrayModel(4, 4, -0.01, 0.01, WL)
 
+    def test_steering_matches_explicit_double_sum(self):
+        # rectangular, with unequal spacings, off the principal cuts
+        arr = ArrayModel(3, 5, 0.4 * WL, 0.7 * WL, WL)
+        thetas = np.array([0.2, 0.9, 1.4, 1.0])
+        phis = np.array([0.5, 2.3, 4.0, 5.9])
+        batch = arr.steering(thetas, phis)
+        assert batch.shape == (4, 15)
+        for theta, phi, row in zip(thetas, phis, batch):
+            expected = [
+                np.exp(-2j * math.pi / WL * (m * arr.dx * math.sin(theta) * math.cos(phi)
+                                             + n * arr.dy * math.sin(theta) * math.sin(phi)))
+                for m in range(arr.m)
+                for n in range(arr.n)
+            ]
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(arr.steering(theta, phi), expected, rtol=1e-12, atol=0.0)
+
     def test_steering_batch_matches_scalar(self):
         arr = ArrayModel.half_wavelength(3, 4, WL)
         thetas = np.array([0.1, 0.7, 1.2])

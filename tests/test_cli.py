@@ -47,6 +47,9 @@ class TestCommonBehaviour:
         ["geodesy", "--fixed-deviation", "nan"],
         ["geodesy", "--expected-azimuth-deg", "inf", "--expected-elevation-deg", "-30"],
         ["pattern", "--phi-cut", "inf"],
+        # grids above MAX_GRID_POINTS are refused before they are allocated
+        ["sweep", "--sigma-i-step", "1e-12"],
+        ["geodesy", "--deviation-step", "1e-12"],
     ])
     def test_bad_numeric_flag_is_usage_error(self, argv, scenario_path, tmp_path, capsys):
         assert main(argv + ["--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 1

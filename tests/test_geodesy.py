@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nullshaper.geodesy import (
+    LATITUDE_MAX_ITER,
     WGS84,
     AerPosition,
     ConvergenceError,
@@ -26,6 +29,16 @@ from nullshaper.geodesy import (
 
 # Satellite location reused across the viewing-geometry tests.
 SAT = GeodeticPosition.from_degrees(138.53, -22.024, 800e3)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# (lon, lat, alt) from just below the surface to beyond geostationary
+# altitude, so the latitude iteration settles after different step counts
+GEODETIC_POINTS = st.lists(
+    st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.55, 1.55), st.floats(-5e3, 5e7)),
+    min_size=1,
+    max_size=24,
+)
 
 
 def ecef_to_geodetic_closed_form(x, y, z, ell=WGS84):
@@ -189,6 +202,19 @@ class TestEcefToGeodetic:
             assert g.latitude == pytest.approx(lat_ref, abs=1e-9)
             assert g.altitude == pytest.approx(alt_ref, abs=1e-5)
 
+    @PROPERTY
+    @given(GEODETIC_POINTS, st.integers(1, LATITUDE_MAX_ITER))
+    @example([(0.3, 0.0, 0.0), (0.3, 0.8, 0.0), (-2.0, -1.2, 3.6e7)], LATITUDE_MAX_ITER)
+    @example([(0.3, 0.0, 0.0), (0.3, 0.8, 0.0), (-2.0, -1.2, 3.6e7)], 2)
+    def test_batch_matches_point_calls_bit_for_bit(self, points, max_iter):
+        lon, lat, alt = np.array(points).T
+        x, y, z = geodetic_to_ecef_arrays(lon, lat, alt)
+        batch = ecef_to_geodetic_arrays(x, y, z, max_iter=max_iter)
+        single = [ecef_to_geodetic_arrays(*xyz, max_iter=max_iter) for xyz in zip(x, y, z)]
+        for k, column in enumerate(batch):  # lon, lat, alt, converged
+            expected = np.array([result[k] for result in single], dtype=column.dtype)
+            assert column.tobytes() == expected.tobytes()
+
     def test_non_convergence_carries_last_iterate(self):
         e = geodetic_to_ecef(GeodeticPosition.from_degrees(10.0, 45.0, 1000.0))
         with pytest.raises(ConvergenceError) as err:
@@ -318,6 +344,44 @@ class TestGroundDistanceFromPointingError:
             angular_deviation_to_ground_distance(
                 SAT, AerPosition(0.0, math.radians(-5.0), 1.0), 0.0, math.radians(4.9)
             )
+
+
+class TestGroundDistanceBatch:
+    # the horizon-crossing ray of the CLI miss test: from 800 km the horizon
+    # sits at elevation -27.3 deg, so raising this ray by a degree misses
+    EXPECTED = AerPosition(0.0, math.radians(-28.0), 1.0)
+
+    def test_elements_match_scalar_calls_and_misses_are_nan(self):
+        d_az = np.radians([0.0, 0.2, -0.7])[:, None]
+        d_el = np.radians(np.linspace(0.0, 1.0, 11))
+        batch = angular_deviation_to_ground_distance(SAT, self.EXPECTED, d_az, d_el)
+        assert batch.shape == (3, 11)
+        missed = 0
+        for (i, j), value in np.ndenumerate(batch):
+            try:
+                scalar = angular_deviation_to_ground_distance(SAT, self.EXPECTED, d_az[i, 0], d_el[j])
+            except RayMissError:
+                assert math.isnan(value)
+                missed += 1
+            else:
+                assert isinstance(scalar, float)
+                assert np.float64(scalar).tobytes() == value.tobytes()
+        assert 0 < missed < batch.size
+        assert batch[0, 0] == 0.0
+
+    def test_zero_deviation_is_exactly_zero_in_a_batch(self):
+        sat = GeodeticPosition.from_degrees(10.0, 45.0, 600e3)
+        expected = AerPosition(math.radians(33.0), math.radians(-61.0), 1.0)
+        devs = np.radians([0.4, 0.0, 0.1, 0.0])
+        assert angular_deviation_to_ground_distance(sat, expected, devs, 0.0)[[1, 3]].tolist() == [0.0, 0.0]
+        assert angular_deviation_to_ground_distance(sat, expected, 0.0, devs)[[1, 3]].tolist() == [0.0, 0.0]
+
+    def test_expected_ray_miss_gives_all_nan(self):
+        expected = AerPosition(0.0, math.radians(-5.0), 1.0)
+        batch = angular_deviation_to_ground_distance(SAT, expected, 0.0, np.radians([-1.0, 0.0]))
+        assert np.isnan(batch).all()
+        with pytest.raises(RayMissError):
+            angular_deviation_to_ground_distance(SAT, expected, 0.0, math.radians(-1.0))
 
 
 class TestValueTypes:
