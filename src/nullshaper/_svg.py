@@ -2,13 +2,16 @@
 
 CSV files are the ground-truth artifacts; these charts are a convenience
 view with no plotting dependency. Each series is a polyline over a plain
-axes box with tick labels.
+axes box with tick labels. Series may be numpy arrays or lists; each is
+filtered, scaled and formatted in whole-array passes, not point by point.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+
+import numpy as np
 
 _WIDTH, _HEIGHT = 860, 560
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 48, 58
@@ -35,24 +38,29 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
 
 def write_line_chart(
     path: str | Path,
-    series: dict[str, tuple[list[float], list[float]]],
+    series: dict[str, tuple[np.ndarray | list[float], np.ndarray | list[float]]],
     title: str,
     x_label: str,
     y_label: str,
 ) -> None:
-    """Write named (x, y) series as one SVG chart."""
-    points = [
-        (x, y)
-        for xs, ys in series.values()
-        for x, y in zip(xs, ys)
-        if math.isfinite(x) and math.isfinite(y)
-    ]
-    if not points:
+    """Write named (x, y) series as one SVG chart.
+
+    Points where x or y is not finite are left out. Raises ``ValueError``
+    when no series has a finite point or a series' x and y differ in length.
+    """
+    finite = {}
+    for name, (xs, ys) in series.items():
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if xs.shape != ys.shape:
+            raise ValueError(f"series {name!r}: x and y differ in length")
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        finite[name] = (xs[keep], ys[keep])
+    if not any(xs.size for xs, _ in finite.values()):
         raise ValueError("nothing to plot")
-    x_lo = min(p[0] for p in points)
-    x_hi = max(p[0] for p in points)
-    y_lo = min(p[1] for p in points)
-    y_hi = max(p[1] for p in points)
+    all_x = np.concatenate([xs for xs, _ in finite.values()])
+    all_y = np.concatenate([ys for _, ys in finite.values()])
+    x_lo, x_hi = float(all_x.min()), float(all_x.max())
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -63,10 +71,10 @@ def write_line_chart(
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(x: float) -> float:
+    def sx(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -104,13 +112,11 @@ def write_line_chart(
         f'<text x="20" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
     )
-    for idx, (name, (xs, ys)) in enumerate(series.items()):
+    for idx, (name, (xs, ys)) in enumerate(finite.items()):
         color = _COLORS[idx % len(_COLORS)]
-        coords = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y)
-        )
+        # elementwise numpy arithmetic rounds exactly as sx/sy do on floats
+        flat = np.column_stack((sx(xs), sy(ys))).ravel().tolist()
+        coords = " ".join(["%.2f,%.2f"] * xs.size) % tuple(flat)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )

@@ -55,9 +55,13 @@ _EXIT_USAGE = 1
 _EXIT_SCENARIO = 2
 _EXIT_RUNTIME = 3
 
-#: Most points a sweep sigma_i grid or a geodesy deviation grid may have;
-#: a longer grid is a usage error, raised before anything is allocated.
+#: Most points a sweep sigma_i grid, a geodesy deviation grid or a pattern
+#: cut may have; a longer grid is a usage error, raised before anything is
+#: allocated.
 MAX_GRID_POINTS = 100_001
+#: Most Monte-Carlo trials per sigma_i point. Each point builds a
+#: trials x J x N steering block, 100 MB at N = 64 and J = 1 at this cap.
+MAX_TRIALS = 100_000
 
 
 class _UsageError(Exception):
@@ -77,8 +81,14 @@ def _write_csv(path: Path, seed: int, header, columns, footer_comments=()) -> No
     floats (``nan`` for NaN) and plain digits for integers.
     """
     lines = [f"# tool=nullshaper {__version__} seed={seed}", ",".join(header)]
-    row_format = ",".join(["%r"] * len(header))
-    lines.extend(row_format % row for row in zip(*(np.asarray(c).tolist() for c in columns)))
+    values = [np.asarray(c).tolist() for c in columns]
+    rows = len(values[0])
+    if rows:
+        # interleave row-major without casting, so int columns keep their repr
+        flat = [None] * (rows * len(values))
+        for j, column in enumerate(values):
+            flat[j::len(values)] = column
+        lines.append("\n".join([",".join(["%r"] * len(values))] * rows) % tuple(flat))
     lines.extend(footer_comments)
     path.write_text("\n".join(lines) + "\n")
 
@@ -182,8 +192,8 @@ def _grid_deg(maximum: float, step: float, what: str) -> list[float]:
 
 
 def _cmd_pattern(scenario: Scenario, args, out_dir: Path) -> int:
-    if args.samples < 2:
-        raise _UsageError("--samples must be >= 2")
+    if not 2 <= args.samples <= MAX_GRID_POINTS:
+        raise _UsageError(f"--samples must be between 2 and {MAX_GRID_POINTS}")
     if args.uniform:
         weights = WeightVector.uniform(scenario.array.size)
     else:
@@ -202,7 +212,7 @@ def _cmd_pattern(scenario: Scenario, args, out_dir: Path) -> int:
         svg_path = out_dir / f"pattern_phi{token}.svg"
         write_line_chart(
             svg_path,
-            {"gain": (angles_deg.tolist(), levels.tolist())},
+            {"gain": (angles_deg, levels)},
             f"Gain cut at azimuth {args.phi_cut:g} deg",
             "polar angle [deg]",
             "gain [dB]",
@@ -249,8 +259,8 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
     if min(sigma_s_list) < 0:
         raise _UsageError("--sigma-s values must be >= 0")
     sigma_i_deg = _grid_deg(args.sigma_i_max, args.sigma_i_step, "sigma-i")
-    if args.trials < 1:
-        raise _UsageError("--trials must be >= 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise _UsageError(f"--trials must be between 1 and {MAX_TRIALS}")
 
     sigma_i_rad = [math.radians(s) for s in sigma_i_deg]
 
@@ -293,7 +303,7 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
 
     if args.format in ("svg", "both"):
         series = {
-            f"sigma_s={_sigma_value_token(s)} deg": (list(sw.sigma_i_deg), list(sw.mean_db))
+            f"sigma_s={_sigma_value_token(s)} deg": (sw.sigma_i_deg, sw.mean_db)
             for s, sw in sweeps.items()
         }
         svg_path = out_dir / "sweep_psi.svg"
@@ -302,7 +312,7 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
         print(f"wrote {svg_path}")
         if capacity_sweeps:
             series = {
-                f"sigma_s={_sigma_value_token(s)} deg": (list(sw.sigma_i_deg), list(sw.mean_db))
+                f"sigma_s={_sigma_value_token(s)} deg": (sw.sigma_i_deg, sw.mean_db)
                 for s, sw in capacity_sweeps.items()
             }
             svg_path = out_dir / "sweep_capacity.svg"
@@ -346,7 +356,7 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
             # one batch per altitude; NaN marks a ray that misses the planet
             zeta_km = angular_deviation_to_ground_distance(sat, expected, d_az, d_el) / 1000.0
             hit = ~np.isnan(zeta_km)
-            series[f"{alt_km:g} km"] = (deviations_deg[hit].tolist(), zeta_km[hit].tolist())
+            series[f"{alt_km:g} km"] = (deviations_deg[hit], zeta_km[hit])
             zetas.append(zeta_km)
         zeta_km = np.concatenate(zetas)
         columns = (np.tile(deviations_deg, len(zetas)),

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullshaper import __version__
 from nullshaper.array import null_width
-from nullshaper.cli import main
+from nullshaper.cli import _write_csv, main
 
 
 @pytest.fixture()
@@ -50,6 +52,9 @@ class TestCommonBehaviour:
         # grids above MAX_GRID_POINTS are refused before they are allocated
         ["sweep", "--sigma-i-step", "1e-12"],
         ["geodesy", "--deviation-step", "1e-12"],
+        # so are trial counts and pattern samples above their caps
+        ["sweep", "--trials", "100001"],
+        ["pattern", "--samples", "100002"],
     ])
     def test_bad_numeric_flag_is_usage_error(self, argv, scenario_path, tmp_path, capsys):
         assert main(argv + ["--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
@@ -269,3 +274,44 @@ class TestGeodesy:
         assert main(["geodesy", "--scenario", str(scenario_path),
                      "--out", str(tmp_path / "o"),
                      "--expected-azimuth-deg", "10.0"]) == 1
+
+
+def reference_write_csv(path, seed, header, columns, footer_comments=()):
+    """The per-row CSV writer: one ``%r`` row template applied per row."""
+    lines = [f"# tool=nullshaper {__version__} seed={seed}", ",".join(header)]
+    row_format = ",".join(["%r"] * len(header))
+    lines.extend(row_format % row for row in zip(*(np.asarray(c).tolist() for c in columns)))
+    lines.extend(footer_comments)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestWriteCsv:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.tuples(st.integers(-10**6, 10**6),
+                           st.floats(allow_infinity=True, allow_nan=True),
+                           st.floats(-1.0, 1.0)),
+                 min_size=0, max_size=30),
+        st.lists(st.sampled_from(["# crossover_vs_sigma_s_0_deg=none", "# note=1"]), max_size=2),
+    )
+    def test_matches_per_row_reference(self, tmp_path_factory, rows, footer):
+        out = tmp_path_factory.mktemp("csv")
+        ints = np.array([r[0] for r in rows], dtype=int)
+        floats = np.array([r[1] for r in rows], dtype=float)
+        plain = [r[2] for r in rows]  # a list column, as the trace table passes
+        header = ("i", "x", "y", "hit")
+        columns = (ints, floats, plain, (~np.isnan(floats)).astype(int))
+        reference_write_csv(out / "want.csv", 7, header, columns, footer)
+        _write_csv(out / "got.csv", 7, header, columns, footer)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_mixed_columns_keep_their_repr(self, tmp_path):
+        _write_csv(tmp_path / "t.csv", 3, ("n", "v"), (np.arange(3), [0.1, np.nan, -0.0]),
+                   ["# end"])
+        assert read_lines(tmp_path / "t.csv")[2:] == ["0,0.1", "1,nan", "2,-0.0", "# end"]
+
+    def test_zero_rows_write_comment_and_header_only(self, tmp_path):
+        _write_csv(tmp_path / "e.csv", 5, ("a", "b"), (np.empty(0), []))
+        assert (tmp_path / "e.csv").read_text() == (
+            f"# tool=nullshaper {__version__} seed=5\na,b\n"
+        )
