@@ -13,7 +13,6 @@ from .array import (
     ArrayModel,
     Direction,
     WeightVector,
-    array_factor,
     gain,
     gains,
     null_width,
@@ -26,15 +25,11 @@ from .geodesy import (
     EcefPosition,
     EllipsoidParams,
     GeodeticPosition,
-    NedVector,
     RayMissError,
-    aer_to_geodetic,
-    aer_to_ned,
     angular_deviation_to_ground_distance,
     ecef_to_geodetic,
     geodetic_to_ecef,
     ground_footprint,
-    haversine_distance,
     ned_to_ecef_rotation,
     prime_vertical_radius,
 )
@@ -63,12 +58,9 @@ from .simulation import (
     scenario_from_dict,
 )
 from .uncertainty import (
-    DegenerateDistributionError,
     InterfererBelief,
     NullSampleGrid,
     build_grid,
-    normalize_weights,
-    pdf,
     weighted_interferer_gain,
 )
 
@@ -81,24 +73,19 @@ __all__ = [
     "EllipsoidParams",
     "GeodeticPosition",
     "AerPosition",
-    "NedVector",
     "EcefPosition",
     "ConvergenceError",
     "RayMissError",
     "prime_vertical_radius",
-    "aer_to_ned",
     "geodetic_to_ecef",
     "ned_to_ecef_rotation",
     "ecef_to_geodetic",
-    "aer_to_geodetic",
-    "haversine_distance",
     "ground_footprint",
     "angular_deviation_to_ground_distance",
     # array
     "ArrayModel",
     "Direction",
     "WeightVector",
-    "array_factor",
     "gain",
     "gains",
     "pattern_cut",
@@ -106,10 +93,7 @@ __all__ = [
     # uncertainty
     "InterfererBelief",
     "NullSampleGrid",
-    "DegenerateDistributionError",
-    "pdf",
     "build_grid",
-    "normalize_weights",
     "weighted_interferer_gain",
     # optimizer
     "Objective",

@@ -27,7 +27,6 @@ __all__ = [
     "ArrayModel",
     "Direction",
     "WeightVector",
-    "array_factor",
     "gain",
     "gains",
     "pattern_cut",
@@ -53,8 +52,8 @@ class ArrayModel:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("element counts must be >= 1")
-        if min(self.dx, self.dy, self.wavelength) <= 0.0:
-            raise ValueError("spacings and wavelength must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.dx, self.dy, self.wavelength)):
+            raise ValueError("spacings and wavelength must be positive and finite")
 
     @classmethod
     def half_wavelength(cls, m: int, n: int, wavelength: float) -> "ArrayModel":
@@ -116,9 +115,13 @@ class Direction:
         return cls(math.radians(theta_deg), math.radians(phi_deg))
 
 
-def _values_of(w) -> np.ndarray:
-    """Accept a WeightVector or any complex array-like."""
-    return np.asarray(getattr(w, "values", w), dtype=complex)
+def _weight_values(w, size: int) -> np.ndarray:
+    """The (size,) complex values of a WeightVector or any array-like;
+    raises ValueError when the length is not ``size``."""
+    values = np.asarray(getattr(w, "values", w), dtype=complex).reshape(-1)
+    if values.size != size:
+        raise ValueError(f"weight length {values.size} != array size {size}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -144,12 +147,6 @@ class WeightVector:
         return cls(np.full(size, 1.0 / math.sqrt(size), dtype=complex))
 
     @classmethod
-    def unit(cls, size: int, index: int = 0) -> "WeightVector":
-        values = np.zeros(size, dtype=complex)
-        values[index] = 1.0
-        return cls(values)
-
-    @classmethod
     def zeros(cls, size: int) -> "WeightVector":
         return cls(np.zeros(size, dtype=complex))
 
@@ -162,12 +159,6 @@ class WeightVector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.values, self.values).real)
 
-    def normalized(self) -> "WeightVector":
-        norm = math.sqrt(self.norm_sq())
-        if norm == 0.0:
-            return self
-        return WeightVector(self.values / norm)
-
     def amplitudes(self) -> np.ndarray:
         return np.abs(self.values)
 
@@ -176,20 +167,9 @@ class WeightVector:
         return np.angle(self.values) % (2.0 * math.pi)
 
 
-def array_factor(arr: ArrayModel, w, d: Direction) -> complex:
-    """Complex array response toward one direction."""
-    values = _values_of(w)
-    if values.size != arr.size:
-        raise ValueError(f"weight length {values.size} != array size {arr.size}")
-    return complex(arr.steering(d.theta, d.phi) @ values)
-
-
 def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
     """Power gain |AF|^2 toward many directions at once."""
-    values = _values_of(w)
-    if values.size != arr.size:
-        raise ValueError(f"weight length {values.size} != array size {arr.size}")
-    return np.abs(arr.steering(theta, phi) @ values) ** 2
+    return np.abs(arr.steering(theta, phi) @ _weight_values(w, arr.size)) ** 2
 
 
 def gain(arr: ArrayModel, w, d: Direction) -> float:

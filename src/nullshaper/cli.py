@@ -37,6 +37,7 @@ from .geodesy import (
     angular_deviation_to_ground_distance,
 )
 from .simulation import (
+    MAX_GRID_POINTS,
     Scenario,
     ScenarioError,
     UnsupportedScenarioError,
@@ -55,10 +56,6 @@ _EXIT_USAGE = 1
 _EXIT_SCENARIO = 2
 _EXIT_RUNTIME = 3
 
-#: Most points a sweep sigma_i grid, a geodesy deviation grid or a pattern
-#: cut may have; a longer grid is a usage error, raised before anything is
-#: allocated.
-MAX_GRID_POINTS = 100_001
 #: Most Monte-Carlo trials per sigma_i point. Each point builds a
 #: trials x J x N steering block, 100 MB at N = 64 and J = 1 at this cap.
 MAX_TRIALS = 100_000
@@ -167,17 +164,14 @@ def _build_parser() -> _Parser:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    if args.kappa is not None:
-        if args.kappa < 0:
-            raise ScenarioError("kappa must be >= 0")
-        scenario = replace(scenario, kappa=args.kappa)
-    if args.samples_per_axis is not None:
-        if args.samples_per_axis < 1:
-            raise ScenarioError("L must be >= 1")
-        scenario = replace(scenario, samples_per_axis=args.samples_per_axis)
-    return scenario
+    """The scenario with the --seed, --kappa and --L flags that were given,
+    validated by the scenario itself."""
+    names = ("seed", "kappa", "samples_per_axis")
+    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    try:
+        return replace(scenario, **overrides)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _grid_deg(maximum: float, step: float, what: str) -> list[float]:
@@ -258,6 +252,9 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
     sigma_s_list = args.sigma_s or [math.degrees(scenario.interferers[0].sigma_s)]
     if min(sigma_s_list) < 0:
         raise _UsageError("--sigma-s values must be >= 0")
+    # + 0.0 folds -0 into 0, which is one key of the per-design dicts below
+    if len({_sigma_value_token(s + 0.0) for s in sigma_s_list}) < len(sigma_s_list):
+        raise _UsageError("--sigma-s values must differ at %g precision, which names their files")
     sigma_i_deg = _grid_deg(args.sigma_i_max, args.sigma_i_step, "sigma-i")
     if not 1 <= args.trials <= MAX_TRIALS:
         raise _UsageError(f"--trials must be between 1 and {MAX_TRIALS}")

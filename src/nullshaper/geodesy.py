@@ -18,8 +18,7 @@ Where a scalar entry point wraps a kernel it runs a one-element batch, so
 a batch gives, element by element, the bits of one-at-a-time calls.
 
 Look rays are intersected with the ellipsoid in batches, and a ray that
-misses comes back as NaN. :func:`ray_ellipsoid_range`,
-:func:`ground_footprint` and scalar calls of
+misses comes back as NaN. :func:`ground_footprint` and scalar calls of
 :func:`angular_deviation_to_ground_distance` turn a miss into
 :class:`RayMissError`; array calls of the latter keep the NaN, so a table
 keeps one row per deviation.
@@ -37,20 +36,15 @@ __all__ = [
     "WGS84",
     "GeodeticPosition",
     "AerPosition",
-    "NedVector",
     "EcefPosition",
     "ConvergenceError",
     "RayMissError",
     "prime_vertical_radius",
-    "aer_to_ned",
     "geodetic_to_ecef",
     "geodetic_to_ecef_arrays",
     "ned_to_ecef_rotation",
     "ecef_to_geodetic",
     "ecef_to_geodetic_arrays",
-    "aer_to_geodetic",
-    "haversine_distance",
-    "ray_ellipsoid_range",
     "ground_footprint",
     "angular_deviation_to_ground_distance",
 ]
@@ -174,25 +168,6 @@ class AerPosition:
 
 
 @dataclass(frozen=True)
-class NedVector:
-    """Displacement in the local north-east-down frame (metres)."""
-
-    north: float
-    east: float
-    down: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.north) and math.isfinite(self.east) and math.isfinite(self.down)):
-            raise ValueError("non-finite NED component")
-
-    def norm(self) -> float:
-        return math.sqrt(self.north**2 + self.east**2 + self.down**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.north, self.east, self.down])
-
-
-@dataclass(frozen=True)
 class EcefPosition:
     """Earth-centred Earth-fixed Cartesian position (metres)."""
 
@@ -216,20 +191,6 @@ def prime_vertical_radius(latitude, ell: EllipsoidParams = WGS84):
     """
     sin_lat = np.sin(latitude)
     return ell.semi_major / np.sqrt(1.0 - ell.eccentricity_sq * sin_lat * sin_lat)
-
-
-def aer_to_ned(p: AerPosition) -> NedVector:
-    """Resolve an AER observation into NED components.
-
-    north = r cos(el) sin(az), east = r cos(el) cos(az), down = -r sin(el);
-    the vector norm equals the slant range.
-    """
-    cos_el = math.cos(p.elevation)
-    return NedVector(
-        north=p.srange * cos_el * math.sin(p.azimuth),
-        east=p.srange * cos_el * math.cos(p.azimuth),
-        down=-p.srange * math.sin(p.elevation),
-    )
 
 
 def geodetic_to_ecef_arrays(lon, lat, alt, ell: EllipsoidParams = WGS84):
@@ -323,23 +284,6 @@ def ecef_to_geodetic(
     return result
 
 
-def aer_to_geodetic(
-    target: AerPosition, sat: GeodeticPosition, ell: EllipsoidParams = WGS84
-) -> GeodeticPosition:
-    """Locate an AER observation from ``sat`` on the globe.
-
-    Chains AER -> NED -> ECEF -> geodetic. The observation range fixes the
-    point; use :func:`ground_footprint` when the range should instead be
-    solved against the ellipsoid surface.
-    """
-    ned = aer_to_ned(target)
-    origin = geodetic_to_ecef(sat, ell)
-    ecef = origin.as_array() + ned_to_ecef_rotation(sat.longitude, sat.latitude) @ ned.as_array()
-    if not np.linalg.norm(ecef) > 0.0:
-        raise ValueError("resulting point coincides with the Earth centre")
-    return ecef_to_geodetic(EcefPosition(*ecef), ell)
-
-
 def _haversine_arrays(lon1, lat1, lon2, lat2, mean_radius):
     """Great-circle distance kernel over a sphere; broadcasts its arguments."""
     half_dlat = 0.5 * (lat2 - lat1)
@@ -347,16 +291,6 @@ def _haversine_arrays(lon1, lat1, lon2, lat2, mean_radius):
     eta = np.sin(half_dlat) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(half_dlon) ** 2
     central = 2.0 * np.arctan2(np.sqrt(eta), np.sqrt(np.maximum(1.0 - eta, 0.0)))
     return mean_radius * central
-
-
-def haversine_distance(
-    p1: GeodeticPosition, p2: GeodeticPosition, mean_radius: float = WGS84.mean_radius
-) -> float:
-    """Great-circle distance over a sphere of the given radius.
-
-    Altitudes are ignored; the result lies in [0, pi * mean_radius].
-    """
-    return float(_haversine_arrays(p1.longitude, p1.latitude, p2.longitude, p2.latitude, mean_radius))
 
 
 def _ray_ranges(origin, direction, ell: EllipsoidParams):
@@ -382,25 +316,6 @@ def _ray_ranges(origin, direction, ell: EllipsoidParams):
     return np.where(t > 0.0, t, np.nan)
 
 
-def ray_ellipsoid_range(
-    origin: np.ndarray, direction: np.ndarray, ell: EllipsoidParams = WGS84
-) -> float:
-    """Distance from ``origin`` (ECEF) along ``direction`` to the first
-    ellipsoid intersection.
-
-    Raises :class:`RayMissError` when the ray misses the ellipsoid or meets
-    it only behind the origin.
-    """
-    direction = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(direction)
-    if not norm > 0.0:
-        raise ValueError("direction must be non-zero")
-    t = float(_ray_ranges(np.asarray(origin, dtype=float), direction / norm, ell))
-    if math.isnan(t):
-        raise RayMissError("look ray does not reach the ellipsoid")
-    return t
-
-
 def _footprints_ecef(sat: GeodeticPosition, azimuth, elevation, ell: EllipsoidParams):
     """ECEF (x, y, z) arrays of the points where the (azimuth, elevation)
     rays from ``sat`` first meet the ellipsoid; NaN where a ray misses."""
@@ -408,8 +323,9 @@ def _footprints_ecef(sat: GeodeticPosition, azimuth, elevation, ell: EllipsoidPa
         raise ValueError("non-finite azimuth")
     if not np.all(np.abs(elevation) <= math.pi / 2 + 1e-15):
         raise ValueError("elevation outside [-pi/2, pi/2]")
-    # unit NED look vectors (as aer_to_ned), rotated into ECEF element by
-    # element rather than by matmul, so no bit depends on the batch size
+    # unit NED look vectors (north = cos(el) sin(az), east = cos(el) cos(az),
+    # down = -sin(el)), rotated into ECEF element by element rather than by
+    # matmul, so no bit depends on the batch size
     cos_el = np.cos(elevation)
     ned = (cos_el * np.sin(azimuth), cos_el * np.cos(azimuth), -np.sin(elevation))
     rotation = ned_to_ecef_rotation(sat.longitude, sat.latitude)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArrayModel, Direction, WeightVector
+from .array import ArrayModel, Direction, WeightVector, _weight_values
 from .uncertainty import NullSampleGrid
 
 __all__ = [
@@ -111,18 +111,18 @@ class Objective:
         return len(self.interferer_grids)
 
     def user_gain_mean(self, w) -> float:
-        row = _complex_of(w, self.array.size)[np.newaxis, :]
+        row = _weight_values(w, self.array.size)[np.newaxis, :]
         return float(np.mean(_response_power(self._user_steering, row)))
 
     def interferer_gain_mean(self, w) -> float:
         """Mean over interferers of the probability-weighted gain."""
         if self._grid_steering is None:
             raise ValueError("objective has no interferers")
-        row = _complex_of(w, self.array.size)[np.newaxis, :]
+        row = _weight_values(w, self.array.size)[np.newaxis, :]
         return float(self._grid_weights @ _response_power(self._grid_steering, row)[:, 0])
 
     def value(self, w) -> float:
-        values = _complex_of(w, self.array.size)
+        values = _weight_values(w, self.array.size)
         return float(self.value_batch(values[np.newaxis, :])[0])
 
     def value_batch(self, weights: np.ndarray) -> np.ndarray:
@@ -132,13 +132,6 @@ class Objective:
             return numerator
         denominator = self._grid_weights @ _response_power(self._grid_steering, weights)
         return numerator / np.maximum(denominator, self.eps_den)
-
-
-def _complex_of(w, size: int) -> np.ndarray:
-    values = np.asarray(getattr(w, "values", w), dtype=complex).reshape(-1)
-    if values.size != size:
-        raise ValueError(f"weight length {values.size} != array size {size}")
-    return values
 
 
 def mitigation_effectiveness(obj: Objective, w) -> float:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array import ArrayModel, Direction, WeightVector
+from .array import ArrayModel, Direction, WeightVector, _weight_values
 from .geodesy import (
     WGS84,
     EllipsoidParams,
@@ -58,6 +58,15 @@ __all__ = [
     "crossover_sigma",
 ]
 
+#: Most points any grid may have: a sweep's sigma_i grid, a geodesy
+#: deviation grid, a pattern cut, or the L x L directions of a shaping grid.
+MAX_GRID_POINTS = 100_001
+#: Largest shaping L, so that L * L stays within ``MAX_GRID_POINTS``.
+MAX_SAMPLES_PER_AXIS = math.isqrt(MAX_GRID_POINTS)
+#: Largest shaping kappa. Grid corners weigh exp(-kappa^2) of the centre:
+#: e^-100 at this cap, and zero, an invalid grid, by kappa = 28.
+MAX_KAPPA = 10
+
 
 class VisibilityError(ValueError):
     """Ground target lies beyond the satellite's horizon."""
@@ -80,8 +89,9 @@ class LinkBudget:
     noise_power: float = 1.0
 
     def __post_init__(self):
-        if min(self.user_power, self.interferer_power, self.noise_power) <= 0.0:
-            raise ValueError("link budget powers must be positive")
+        powers = (self.user_power, self.interferer_power, self.noise_power)
+        if not all(math.isfinite(p) and p > 0.0 for p in powers):
+            raise ValueError("link budget powers must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -97,8 +107,8 @@ class InterfererSite:
     sigma_s: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_s < 0.0:
-            raise ValueError("sigma_s must be >= 0")
+        if not (math.isfinite(self.sigma_s) and self.sigma_s >= 0.0):
+            raise ValueError("sigma_s must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -120,8 +130,12 @@ class Scenario:
             raise ValueError("need at least one user")
         if len(self.interferers) < 1:
             raise ValueError("need at least one interferer")
-        if self.samples_per_axis < 1 or self.kappa < 0:
-            raise ValueError("invalid shaping parameters")
+        if not 1 <= self.samples_per_axis <= MAX_SAMPLES_PER_AXIS:
+            raise ValueError(f"shaping L must be between 1 and {MAX_SAMPLES_PER_AXIS}")
+        if not 0 <= self.kappa <= MAX_KAPPA:
+            raise ValueError(f"shaping kappa must be between 0 and {MAX_KAPPA}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def user_directions(self) -> tuple[Direction, ...]:
         return tuple(self._as_direction(u) for u in self.users)
@@ -211,22 +225,6 @@ class SweepResult:
             raise ValueError("sigma_i grid must be sorted")
 
 
-def _weight_row(w) -> np.ndarray:
-    return np.asarray(getattr(w, "values", w), dtype=complex).reshape(1, -1)
-
-
-def _user_steering(sc: Scenario) -> np.ndarray:
-    user_dirs = sc.user_directions()
-    return sc.array.steering(
-        np.array([d.theta for d in user_dirs]), np.array([d.phi for d in user_dirs])
-    )
-
-
-def _user_gain(user_steering: np.ndarray, row: np.ndarray) -> float:
-    """Mean user gain of one weight row, summed as the design objective does."""
-    return float(np.mean(_response_power(user_steering, row), axis=0)[0])
-
-
 def _psi_db(user_gain: float, interferer_gains: np.ndarray, eps_den: float) -> np.ndarray:
     """Per-trial effectiveness in dB from (trials, J) point-interferer gains."""
     psi = user_gain / np.maximum(np.mean(interferer_gains, axis=1), eps_den)
@@ -276,10 +274,10 @@ def monte_carlo_sweeps(
     seed = sc.seed if seed is None else seed
     budget = link_budget if link_budget is not None else sc.link_budget
 
-    rows = [_weight_row(w) for w in weights]
-    user_steering = _user_steering(sc)
-    user_gains = [_user_gain(user_steering, row) for row in rows]
-    with_capacity = user_steering.shape[0] == 1
+    rows = [_weight_values(w, sc.array.size)[np.newaxis, :] for w in weights]
+    users = Objective(sc.array, sc.user_directions())
+    user_gains = [users.user_gain_mean(row) for row in rows]
+    with_capacity = users.user_count == 1
     means = np.array([[d.theta, d.phi] for d in sc.interferer_directions()])
     z = np.random.default_rng(seed).standard_normal((trials, means.shape[0], 2))
 
@@ -361,10 +359,10 @@ def capacity(
         realized = np.array([[d.theta, d.phi] for d in realized_directions])
     else:
         realized = np.asarray(realized_directions, dtype=float).reshape(-1, 2)
-    row = _weight_row(w)
+    row = _weight_values(w, sc.array.size)[np.newaxis, :]
     steer = sc.array.steering(realized[:, 0], realized[:, 1])
     interferer_gains = _response_power(steer, row).reshape(1, -1)
-    user_gain = _user_gain(_user_steering(sc), row)
+    user_gain = Objective(sc.array, sc.user_directions()).user_gain_mean(row)
     return float(_capacity_bits(user_gain, interferer_gains, budget)[0])
 
 

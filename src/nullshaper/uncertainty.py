@@ -18,18 +18,11 @@ import numpy as np
 from .array import ArrayModel, gains
 
 __all__ = [
-    "DegenerateDistributionError",
     "InterfererBelief",
     "NullSampleGrid",
-    "pdf",
     "build_grid",
-    "normalize_weights",
     "weighted_interferer_gain",
 ]
-
-
-class DegenerateDistributionError(ValueError):
-    """Density requested for a zero-variance axis."""
 
 
 @dataclass(frozen=True)
@@ -53,33 +46,16 @@ class InterfererBelief:
         return cls(mean_theta, mean_phi, sigma, sigma)
 
 
-def pdf(belief: InterfererBelief, theta, phi):
-    """Bivariate normal density of the belief at (theta, phi).
-
-    Requires both sigmas positive; a point-mass belief has no density (the
-    grid builder handles that case separately).
-    """
-    if belief.sigma_theta <= 0.0 or belief.sigma_phi <= 0.0:
-        raise DegenerateDistributionError("pdf undefined for zero sigma")
-    z_theta = (np.asarray(theta, dtype=float) - belief.mean_theta) / belief.sigma_theta
-    z_phi = (np.asarray(phi, dtype=float) - belief.mean_phi) / belief.sigma_phi
-    norm = 2.0 * math.pi * belief.sigma_theta * belief.sigma_phi
-    return np.exp(-0.5 * (z_theta**2 + z_phi**2)) / norm
-
-
 @dataclass(frozen=True)
 class NullSampleGrid:
     """Sample directions (Z, 2) with per-direction probability weights (Z,).
 
     Directions are the Cartesian product of the theta and phi sample lists,
-    theta varying slowest. ``samples_per_axis`` and ``kappa`` record the
-    construction parameters.
+    theta varying slowest.
     """
 
     directions: np.ndarray
     weights: np.ndarray
-    samples_per_axis: int
-    kappa: int
 
     def __post_init__(self):
         directions = np.asarray(self.directions, dtype=float).reshape(-1, 2).copy()
@@ -108,7 +84,7 @@ class NullSampleGrid:
     def point(cls, theta: float, phi: float) -> "NullSampleGrid":
         """Single direction with unit weight; used to score a realised
         interferer position."""
-        return cls(np.array([[theta, phi]]), np.array([1.0]), 1, 0)
+        return cls(np.array([[theta, phi]]), np.array([1.0]))
 
 
 def _axis_samples(mean: float, sigma: float, count: int, kappa: int) -> np.ndarray:
@@ -149,15 +125,7 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
         if sigma > 0.0:
             z = (axis_values - mean) / sigma
             weights = weights * np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * sigma)
-    return NullSampleGrid(directions, weights, count, kappa)
-
-
-def normalize_weights(grid: NullSampleGrid) -> NullSampleGrid:
-    """Rescale the weights to sum to one; directions are untouched."""
-    total = float(grid.weights.sum())
-    if not total > 0.0:
-        raise ValueError("weights sum to zero")
-    return NullSampleGrid(grid.directions, grid.weights / total, grid.samples_per_axis, grid.kappa)
+    return NullSampleGrid(directions, weights)
 
 
 def weighted_interferer_gain(arr: ArrayModel, w, grid: NullSampleGrid) -> float:

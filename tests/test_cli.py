@@ -55,10 +55,42 @@ class TestCommonBehaviour:
         # so are trial counts and pattern samples above their caps
         ["sweep", "--trials", "100001"],
         ["pattern", "--samples", "100002"],
+        # two --sigma-s values with one %g token would write one file twice
+        ["sweep", "--sigma-s", "0.1,0.10000001"],
+        ["sweep", "--sigma-s", "0,-0"],
     ])
     def test_bad_numeric_flag_is_usage_error(self, argv, scenario_path, tmp_path, capsys):
         assert main(argv + ["--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("path, value, argv", [
+        pytest.param(("interferers", 0, "sigma_s_deg"), math.nan, [], id="sigma_s_nan"),
+        pytest.param(("array", "freq_hz"), math.nan, [], id="freq_nan"),
+        pytest.param(("array", "dx_over_lambda"), math.inf, [], id="spacing_inf"),
+        pytest.param(("link_budget",), {"user_power": math.nan}, [], id="user_power_nan"),
+        pytest.param(("seed",), -5, [], id="seed_file"),
+        pytest.param((), None, ["--seed", "-1"], id="seed_flag"),
+        pytest.param(("shaping", "kappa"), 11, [], id="kappa_file"),
+        pytest.param((), None, ["--kappa", "11"], id="kappa_flag"),
+        pytest.param(("shaping", "L"), 317, [], id="L_file"),
+        pytest.param((), None, ["--L", "317"], id="L_flag"),
+    ])
+    def test_out_of_range_value_is_validation_error(
+        self, path, value, argv, scenario_path, tmp_path, capsys
+    ):
+        raw = json.loads(scenario_path.read_text())
+        if path:
+            *parents, key = path
+            entry = raw
+            for parent in parents:
+                entry = entry[parent]
+            entry[key] = value
+        scenario_path.write_text(json.dumps(raw))  # NaN and Infinity as JSON allows
+        code = main(["optimize", "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "o")] + argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("scenario error: ")
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_missing_scenario_is_validation_error(self, tmp_path, capsys):

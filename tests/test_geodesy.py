@@ -12,17 +12,15 @@ from nullshaper.geodesy import (
     ConvergenceError,
     EcefPosition,
     GeodeticPosition,
-    NedVector,
     RayMissError,
-    aer_to_geodetic,
-    aer_to_ned,
+    _footprints_ecef,
+    _haversine_arrays,
     angular_deviation_to_ground_distance,
     ecef_to_geodetic,
     ecef_to_geodetic_arrays,
     geodetic_to_ecef,
     geodetic_to_ecef_arrays,
     ground_footprint,
-    haversine_distance,
     ned_to_ecef_rotation,
     prime_vertical_radius,
 )
@@ -69,33 +67,31 @@ def ecef_to_geodetic_closed_form(x, y, z, ell=WGS84):
 
 
 class TestAerToNed:
+    """The AER -> NED convention (azimuth from east toward north, elevation
+    up from the horizontal), read through where ground_footprint lands."""
+
+    EQUATORIAL = GeodeticPosition.from_degrees(10.0, 0.0, 800e3)
+
     def test_azimuth_zero_points_east(self):
-        ned = aer_to_ned(AerPosition(0.0, 0.0, 1000.0))
-        assert ned.north == pytest.approx(0.0, abs=1e-12)
-        assert ned.east == pytest.approx(1000.0)
-        assert ned.down == pytest.approx(0.0, abs=1e-12)
+        g = ground_footprint(self.EQUATORIAL, 0.0, math.radians(-60.0))
+        assert g.longitude_deg > 10.0 + 1.0
+        assert g.latitude == pytest.approx(0.0, abs=1e-12)
 
     def test_azimuth_quarter_turn_points_north(self):
-        ned = aer_to_ned(AerPosition(math.pi / 2, 0.0, 1000.0))
-        assert ned.north == pytest.approx(1000.0)
-        assert ned.east == pytest.approx(0.0, abs=1e-9)
-        assert ned.down == pytest.approx(0.0, abs=1e-12)
+        g = ground_footprint(self.EQUATORIAL, math.pi / 2, math.radians(-60.0))
+        assert g.latitude_deg > 1.0
+        assert g.longitude_deg == pytest.approx(10.0, abs=1e-9)
 
     def test_depressed_ray_points_down(self):
-        ned = aer_to_ned(AerPosition(0.0, -math.pi / 2, 800_000.0))
-        assert ned.north == pytest.approx(0.0, abs=1e-9)
-        assert ned.east == pytest.approx(0.0, abs=1e-9)
-        assert ned.down == pytest.approx(800_000.0)
-
-    def test_norm_equals_range(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            p = AerPosition(
-                rng.uniform(0, 2 * math.pi),
-                rng.uniform(-math.pi / 2, math.pi / 2),
-                rng.uniform(1.0, 1e7),
-            )
-            assert aer_to_ned(p).norm() == pytest.approx(p.srange, rel=1e-9)
+        # straight down follows the ellipsoid normal, whatever the azimuth,
+        # so the slant range to the footprint is the geodetic altitude
+        sat = geodetic_to_ecef(SAT).as_array()
+        for azimuth in (0.0, 1.0, 4.0):
+            g = ground_footprint(SAT, azimuth, -math.pi / 2)
+            assert g.longitude == pytest.approx(SAT.longitude, abs=1e-12)
+            assert g.latitude == pytest.approx(SAT.latitude, abs=1e-12)
+            srange = np.linalg.norm(geodetic_to_ecef(g).as_array() - sat)
+            assert srange == pytest.approx(SAT.altitude, abs=1e-6)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -225,15 +221,18 @@ class TestEcefToGeodetic:
 
 
 class TestAerToGeodetic:
+    """AER -> geodetic through ground_footprint, which solves the slant
+    range against the ellipsoid, so every target sits on the surface."""
+
     def test_nadir_hits_subsatellite_point_equatorial(self):
         sat = GeodeticPosition.from_degrees(10.0, 0.0, 800e3)
-        g = aer_to_geodetic(AerPosition(0.3, -math.pi / 2, 800e3), sat)
+        g = ground_footprint(sat, 0.3, -math.pi / 2)
         assert g.longitude_deg == pytest.approx(10.0, abs=1e-6)
         assert g.latitude_deg == pytest.approx(0.0, abs=1e-6)
         assert abs(g.altitude) < 1.0
 
     def test_nadir_follows_ellipsoid_normal(self):
-        g = aer_to_geodetic(AerPosition(1.234, -math.pi / 2, SAT.altitude), SAT)
+        g = ground_footprint(SAT, 1.234, -math.pi / 2)
         assert g.longitude_deg == pytest.approx(SAT.longitude_deg, abs=1e-9)
         assert g.latitude_deg == pytest.approx(SAT.latitude_deg, abs=1e-9)
         assert abs(g.altitude) < 1e-6
@@ -245,47 +244,45 @@ class TestAerToGeodetic:
             target = GeodeticPosition(
                 SAT.longitude + rng.uniform(-0.05, 0.05),
                 SAT.latitude + rng.uniform(-0.05, 0.05),
-                rng.uniform(0.0, 5e3),
             )
             rel = geodetic_to_ecef(target).as_array() - geodetic_to_ecef(SAT).as_array()
             ned = ned_to_ecef_rotation(SAT.longitude, SAT.latitude).T @ rel
-            srange = float(np.linalg.norm(ned))
-            aer = AerPosition(
-                math.atan2(ned[0], ned[1]), -math.asin(ned[2] / srange), srange
-            )
-            g = aer_to_geodetic(aer, SAT)
+            elevation = -math.asin(ned[2] / float(np.linalg.norm(ned)))
+            g = ground_footprint(SAT, math.atan2(ned[0], ned[1]), elevation)
             assert g.longitude == pytest.approx(target.longitude, abs=1e-9)
             assert g.latitude == pytest.approx(target.latitude, abs=1e-9)
-            assert g.altitude == pytest.approx(target.altitude, abs=1e-5)
+            assert g.altitude == pytest.approx(0.0, abs=1e-5)
 
     def test_off_nadir_against_closed_form_reference(self):
-        aer = AerPosition(math.radians(40.0), math.radians(-65.0), 1.1e6)
-        ned = aer_to_ned(aer)
-        ecef = geodetic_to_ecef(SAT).as_array() + ned_to_ecef_rotation(
-            SAT.longitude, SAT.latitude
-        ) @ ned.as_array()
+        azimuth, elevation = math.radians(40.0), math.radians(-65.0)
+        ecef = [float(c) for c in _footprints_ecef(SAT, azimuth, elevation, WGS84)]
         lon_ref, lat_ref, alt_ref = ecef_to_geodetic_closed_form(*ecef)
-        g = aer_to_geodetic(aer, SAT)
+        g = ground_footprint(SAT, azimuth, elevation)
         assert g.longitude == pytest.approx(lon_ref, abs=1e-9)
         assert g.latitude == pytest.approx(lat_ref, abs=1e-9)
         assert g.altitude == pytest.approx(alt_ref, abs=1e-5)
 
 
 class TestHaversine:
+    @staticmethod
+    def distance(p1, p2):
+        return float(_haversine_arrays(p1.longitude, p1.latitude, p2.longitude, p2.latitude,
+                                       WGS84.mean_radius))
+
     def test_identical_points(self):
         p = GeodeticPosition.from_degrees(17.0, -33.0)
-        assert haversine_distance(p, p) == 0.0
+        assert self.distance(p, p) == 0.0
 
     def test_antipodal_on_equator(self):
         a = GeodeticPosition.from_degrees(0.0, 0.0)
         b = GeodeticPosition.from_degrees(180.0, 0.0)
-        assert haversine_distance(a, b) == pytest.approx(math.pi * WGS84.mean_radius, rel=1e-12)
+        assert self.distance(a, b) == pytest.approx(math.pi * WGS84.mean_radius, rel=1e-12)
 
     def test_one_degree_arc(self):
         a = GeodeticPosition.from_degrees(0.0, 0.0)
         b = GeodeticPosition.from_degrees(1.0, 0.0)
         # pi/180 * 6371008.8, frozen from exact spherical arc length
-        assert haversine_distance(a, b) == pytest.approx(111195.08023353291, rel=1e-12)
+        assert self.distance(a, b) == pytest.approx(111195.08023353291, rel=1e-12)
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(6)
@@ -294,11 +291,11 @@ class TestHaversine:
                 GeodeticPosition(rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5))
                 for _ in range(3)
             ]
-            ab = haversine_distance(pts[0], pts[1])
-            ba = haversine_distance(pts[1], pts[0])
+            ab = self.distance(pts[0], pts[1])
+            ba = self.distance(pts[1], pts[0])
             assert ab == pytest.approx(ba, rel=1e-12)
-            bc = haversine_distance(pts[1], pts[2])
-            ac = haversine_distance(pts[0], pts[2])
+            bc = self.distance(pts[1], pts[2])
+            ac = self.distance(pts[0], pts[2])
             assert ac <= ab + bc + 1e-6 * (ab + bc)
 
 
@@ -392,10 +389,6 @@ class TestValueTypes:
     def test_latitude_range_enforced(self):
         with pytest.raises(ValueError):
             GeodeticPosition(0.0, 2.0)
-
-    def test_ned_rejects_nan(self):
-        with pytest.raises(ValueError):
-            NedVector(math.nan, 0.0, 0.0)
 
     def test_ecef_rejects_inf(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from nullshaper.uncertainty import (
     InterfererBelief,
     NullSampleGrid,
     build_grid,
-    normalize_weights,
     weighted_interferer_gain,
 )
 
@@ -161,7 +160,8 @@ class TestOptimize:
         user = [Direction(math.radians(30.0), 0.0)]
         grid = build_grid(InterfererBelief.isotropic(0.0, 0.0, math.radians(0.5)), 3, 1)
         raw = optimize(Objective(arr, user, [grid]))
-        normed = optimize(Objective(arr, user, [normalize_weights(grid)]))
+        normed_grid = NullSampleGrid(grid.directions, grid.weights / grid.weights.sum())
+        normed = optimize(Objective(arr, user, [normed_grid]))
         assert 1.0 - abs(np.vdot(raw.weights.values, normed.weights.values)) <= 1e-12
 
 

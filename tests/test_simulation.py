@@ -359,3 +359,11 @@ class TestScenarioLoading:
         assert sc.link_budget.user_power == 5.0
         with pytest.raises(ValueError):
             LinkBudget(user_power=0.0)
+
+    def test_shaping_and_seed_bounds(self):
+        sc = scenario_from_dict(self.scenario_dict())
+        replace(sc, samples_per_axis=316, kappa=10, seed=0)  # the largest accepted
+        for bad in ({"samples_per_axis": 0}, {"samples_per_axis": 317}, {"kappa": -1},
+                    {"kappa": 11}, {"seed": -1}):
+            with pytest.raises(ValueError):
+                replace(sc, **bad)

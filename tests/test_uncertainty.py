@@ -5,12 +5,9 @@ import pytest
 
 from nullshaper.array import ArrayModel, Direction, WeightVector, gain, gains
 from nullshaper.uncertainty import (
-    DegenerateDistributionError,
     InterfererBelief,
     NullSampleGrid,
     build_grid,
-    normalize_weights,
-    pdf,
     weighted_interferer_gain,
 )
 
@@ -27,16 +24,18 @@ def pdf_matrix_form(belief, theta, phi):
 
 
 class TestPdf:
+    """Grid weights are the belief's density at the sample directions."""
+
     def test_value_at_mean(self):
         belief = InterfererBelief(0.2, 1.0, 0.05, 0.02)
         expected = 1.0 / (2.0 * math.pi * 0.05 * 0.02)
-        assert pdf(belief, 0.2, 1.0) == pytest.approx(expected, rel=1e-12)
+        # the centre sample of an odd grid sits exactly on the mean
+        assert build_grid(belief, 3, 1).weights[4] == pytest.approx(expected, rel=1e-12)
 
     def test_unit_sigma_one_off(self):
-        belief = InterfererBelief(0.0, 0.0, 1.0, 1.0)
-        assert pdf(belief, 1.0, 0.0) == pytest.approx(
-            math.exp(-0.5) / (2.0 * math.pi), rel=1e-12
-        )
+        grid = build_grid(InterfererBelief(0.0, 0.0, 1.0, 1.0), 3, 1)
+        assert grid.directions[7].tolist() == [1.0, 0.0]
+        assert grid.weights[7] == pytest.approx(math.exp(-0.5) / (2.0 * math.pi), rel=1e-12)
 
     def test_matches_matrix_form(self):
         rng = np.random.default_rng(0)
@@ -44,15 +43,9 @@ class TestPdf:
             belief = InterfererBelief(
                 rng.uniform(-1, 1), rng.uniform(0, 6), rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.5)
             )
-            theta = belief.mean_theta + rng.normal() * belief.sigma_theta * 2
-            phi = belief.mean_phi + rng.normal() * belief.sigma_phi * 2
-            assert pdf(belief, theta, phi) == pytest.approx(
-                pdf_matrix_form(belief, theta, phi), rel=1e-12
-            )
-
-    def test_zero_sigma_rejected(self):
-        with pytest.raises(DegenerateDistributionError):
-            pdf(InterfererBelief(0.0, 0.0, 0.0, 0.1), 0.0, 0.0)
+            grid = build_grid(belief, 3, 2)
+            expected = [pdf_matrix_form(belief, t, p) for t, p in grid.directions]
+            assert grid.weights == pytest.approx(expected, rel=1e-12)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +106,7 @@ class TestBuildGrid:
     def test_weights_match_density(self):
         belief = InterfererBelief(0.1, 0.7, 0.03, 0.05)
         grid = build_grid(belief, 4, 2)
-        expected = pdf(belief, grid.thetas, grid.phis)
+        expected = [pdf_matrix_form(belief, t, p) for t, p in grid.directions]
         assert grid.weights == pytest.approx(expected, rel=1e-12)
 
     def test_symmetry_about_the_mean(self):
@@ -154,27 +147,18 @@ class TestBuildGrid:
 
 
 class TestNormalizeWeights:
-    def test_already_normalized_unchanged(self):
-        grid = normalize_weights(build_grid(InterfererBelief(0.0, 0.0, 0.1, 0.1), 3, 1))
-        again = normalize_weights(grid)
-        assert again.weights == pytest.approx(grid.weights, rel=1e-12)
-        assert again.weights.sum() == pytest.approx(1.0, rel=1e-12)
+    """Grid weights divided by their sum, as a probability mass."""
 
     def test_collapsed_grid_uniform_ninths(self):
-        grid = normalize_weights(build_grid(InterfererBelief(0.1, 0.2, 0.05, 0.05), 3, 0))
-        assert grid.weights == pytest.approx(np.full(9, 1.0 / 9.0), rel=1e-12)
+        weights = build_grid(InterfererBelief(0.1, 0.2, 0.05, 0.05), 3, 0).weights
+        assert weights / weights.sum() == pytest.approx(np.full(9, 1.0 / 9.0), rel=1e-12)
 
     def test_center_corner_ratio(self):
         sig = math.radians(1.0)
-        grid = normalize_weights(build_grid(InterfererBelief(0.0, 0.0, sig, sig), 3, 1))
-        centre = grid.weights[4]
-        corner = grid.weights[0]
+        weights = build_grid(InterfererBelief(0.0, 0.0, sig, sig), 3, 1).weights
+        weights = weights / weights.sum()
         # unit offsets on both axes cost exp(-1) relative to the centre
-        assert centre / corner == pytest.approx(math.e, rel=1e-12)
-
-    def test_directions_untouched(self):
-        grid = build_grid(InterfererBelief(0.3, 0.4, 0.02, 0.02), 3, 2)
-        assert np.array_equal(normalize_weights(grid).directions, grid.directions)
+        assert weights[4] / weights[0] == pytest.approx(math.e, rel=1e-12)
 
 
 class TestWeightedInterfererGain:
@@ -189,7 +173,8 @@ class TestWeightedInterfererGain:
     def test_collapsed_normalized_grid_equals_point_gain(self):
         arr = ArrayModel.half_wavelength(4, 4, WL)
         w = WeightVector.uniform(16)
-        grid = normalize_weights(build_grid(InterfererBelief(0.3, 0.8, 0.05, 0.05), 3, 0))
+        grid = build_grid(InterfererBelief(0.3, 0.8, 0.05, 0.05), 3, 0)
+        grid = NullSampleGrid(grid.directions, grid.weights / grid.weights.sum())
         expected = gain(arr, w, Direction(0.3, 0.8))
         assert weighted_interferer_gain(arr, w, grid) == pytest.approx(expected, rel=1e-12)
 
@@ -218,7 +203,7 @@ class TestWeightedInterfererGain:
         arr = ArrayModel.half_wavelength(4, 4, WL)
         w = WeightVector.uniform(16)
         grid = build_grid(InterfererBelief(0.2, 0.5, 0.03, 0.03), 3, 1)
-        doubled = NullSampleGrid(grid.directions, grid.weights * 2.0, grid.samples_per_axis, grid.kappa)
+        doubled = NullSampleGrid(grid.directions, grid.weights * 2.0)
         assert weighted_interferer_gain(arr, w, doubled) == pytest.approx(
             2.0 * weighted_interferer_gain(arr, w, grid), rel=1e-12
         )
