@@ -38,6 +38,11 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: Export floor replacing -inf when a pattern sample is exactly zero.
 DEFAULT_FLOOR_DB = -100.0
 
+#: Complex steering bytes built per direction block wherever steering rows
+#: are reduced to response power, so memory stays flat in the number of
+#: directions.
+_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ArrayModel:
@@ -147,17 +152,10 @@ class WeightVector:
         return cls(np.full(size, 1.0 / math.sqrt(size), dtype=complex))
 
     @classmethod
-    def zeros(cls, size: int) -> "WeightVector":
-        return cls(np.zeros(size, dtype=complex))
-
-    @classmethod
     def matched(cls, arr: ArrayModel, d: Direction) -> "WeightVector":
         """Unit-norm conjugate beamformer, the gain-optimal weights toward d."""
         steer = arr.steering(d.theta, d.phi)
         return cls(np.conj(steer) / np.linalg.norm(steer))
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.values, self.values).real)
 
     def amplitudes(self) -> np.ndarray:
         return np.abs(self.values)
@@ -167,9 +165,43 @@ class WeightVector:
         return np.angle(self.values) % (2.0 * math.pi)
 
 
+def _direction_blocks(count: int, size: int):
+    """Slices that cover ``count`` directions in order, each holding about
+    ``_BLOCK_BYTES`` of (rows, size) complex steering and at least two rows.
+
+    A one-row tail is folded into the block before it: numpy takes a
+    dot-product path for a one-row matrix product, which rounds differently
+    from the matrix-vector kernel, so only a lone direction forms a one-row
+    block.
+    """
+    step = max(2, _BLOCK_BYTES // (16 * size))
+    start = 0
+    while start < count:
+        stop = start + step
+        if stop >= count - 1:
+            stop = count
+        yield slice(start, stop)
+        start = stop
+
+
 def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
-    """Power gain |AF|^2 toward many directions at once."""
-    return np.abs(arr.steering(theta, phi) @ _weight_values(w, arr.size)) ** 2
+    """Power gain |AF|^2 toward many directions at once.
+
+    Scalar theta and phi give a 0-d result. Otherwise theta and phi
+    broadcast together, and the flattened directions are steered in blocks
+    of about ``_BLOCK_BYTES`` each, so memory does not grow with the number
+    of directions; every block's rows are the rows the whole steering
+    matrix would hold.
+    """
+    values = _weight_values(w, arr.size)
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    if theta.ndim == 0:
+        return np.abs(arr.steering(theta, phi) @ values) ** 2
+    theta, phi = theta.reshape(-1), phi.reshape(-1)
+    power = np.empty(theta.size)
+    for block in _direction_blocks(theta.size, arr.size):
+        power[block] = np.abs(arr.steering(theta[block], phi[block]) @ values) ** 2
+    return power
 
 
 def gain(arr: ArrayModel, w, d: Direction) -> float:

@@ -56,8 +56,9 @@ _EXIT_USAGE = 1
 _EXIT_SCENARIO = 2
 _EXIT_RUNTIME = 3
 
-#: Most Monte-Carlo trials per sigma_i point. Each point builds a
-#: trials x J x N steering block, 100 MB at N = 64 and J = 1 at this cap.
+#: Most Monte-Carlo trials per sigma_i point. Steering is built in
+#: bounded blocks, so the cap limits run time and the per-trial arrays
+#: (a few doubles per trial, design and interferer), not steering memory.
 MAX_TRIALS = 100_000
 
 
@@ -249,11 +250,13 @@ def _sweep_columns(sweep) -> tuple:
 
 
 def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
+    # + 0.0 folds -0 into 0, so it designs, names its files and serves as
+    # the crossover baseline exactly as 0 does
     sigma_s_list = args.sigma_s or [math.degrees(scenario.interferers[0].sigma_s)]
+    sigma_s_list = [s + 0.0 for s in sigma_s_list]
     if min(sigma_s_list) < 0:
         raise _UsageError("--sigma-s values must be >= 0")
-    # + 0.0 folds -0 into 0, which is one key of the per-design dicts below
-    if len({_sigma_value_token(s + 0.0) for s in sigma_s_list}) < len(sigma_s_list):
+    if len({_sigma_value_token(s) for s in sigma_s_list}) < len(sigma_s_list):
         raise _UsageError("--sigma-s values must differ at %g precision, which names their files")
     sigma_i_deg = _grid_deg(args.sigma_i_max, args.sigma_i_step, "sigma-i")
     if not 1 <= args.trials <= MAX_TRIALS:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array import ArrayModel, Direction, WeightVector, _weight_values
+from .array import ArrayModel, Direction, WeightVector, _direction_blocks, _weight_values
 from .geodesy import (
     WGS84,
     EllipsoidParams,
@@ -256,11 +256,14 @@ def monte_carlo_sweeps(
     trial t at mean_j + sigma_i * z[t, j]. Every sigma_i point, every
     design and both metrics share these draws (common random numbers), so
     a row does not depend on the grid around it and designs differ only by
-    their weights. Per sigma_i point the realised directions are steered
-    once; each weight row is then scored on its own through the design
-    objective's response helper, whose per-row rounding does not depend on
+    their weights. Per sigma_i point the trials x J realised directions
+    are steered once, in blocks of about ``array._BLOCK_BYTES`` of steering
+    each, so memory does not grow with ``trials``; each weight row is then
+    scored on the block on its own through the design objective's response
+    helper. That helper's per-row rounding depends on neither the block nor
     the batch size, so a realised point reproduces the single-point-grid
-    objective value bit for bit.
+    objective value bit for bit, and per-trial scores stay whole arrays
+    whose means and deviations do not depend on the blocking.
 
     Returns one ``(psi, capacity)`` pair per weight row: psi rows in dB,
     capacity rows in bits/s/Hz, or None when the scenario does not serve
@@ -286,9 +289,13 @@ def monte_carlo_sweeps(
     cap_mean, cap_std = np.empty(shape), np.empty(shape)
     for point, sigma_i in enumerate(sigma_list):
         flat = (means + sigma_i * z).reshape(-1, 2)
-        steer = sc.array.steering(flat[:, 0], flat[:, 1])
-        for design, (row, user_gain) in enumerate(zip(rows, user_gains)):
-            interferer_gains = _response_power(steer, row).reshape(trials, -1)
+        power = np.empty((len(rows), flat.shape[0]))
+        for block in _direction_blocks(flat.shape[0], sc.array.size):
+            steer = sc.array.steering(flat[block, 0], flat[block, 1])
+            for design, row in enumerate(rows):
+                power[design, block] = _response_power(steer, row)[:, 0]
+        for design, user_gain in enumerate(user_gains):
+            interferer_gains = power[design].reshape(trials, -1)
             per_trial = _psi_db(user_gain, interferer_gains, eps_den)
             psi_mean[design, point], psi_std[design, point] = per_trial.mean(), per_trial.std()
             if with_capacity:
@@ -400,6 +407,14 @@ def _position_from_entry(entry: dict, what: str):
         raise ScenarioError(f"invalid {what} entry {entry}: {exc}") from exc
 
 
+def _integer(value, what: str) -> int:
+    """``int(value)``, refusing a number with a fractional part instead of
+    truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a scenario from the plain-dict form used by scenario files.
 
@@ -418,8 +433,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
         )
         arr_entry = raw["array"]
         array = ArrayModel.from_frequency(
-            int(arr_entry["m"]),
-            int(arr_entry["n"]),
+            _integer(arr_entry["m"], "array.m"),
+            _integer(arr_entry["n"], "array.n"),
             float(arr_entry.get("freq_hz", 2.0e10)),
             float(arr_entry.get("dx_over_lambda", 0.5)),
             float(arr_entry.get("dy_over_lambda", 0.5)),
@@ -433,15 +448,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
             for j in raw["interferers"]
         )
         shaping = raw.get("shaping", {})
-        seed = int(raw.get("seed", 0))
+        seed = _integer(raw.get("seed", 0), "seed")
         budget_entry = raw.get("link_budget", {})
         scenario = Scenario(
             satellite=satellite,
             array=array,
             users=users,
             interferers=interferers,
-            samples_per_axis=int(shaping.get("L", 3)),
-            kappa=int(shaping.get("kappa", 1)),
+            samples_per_axis=_integer(shaping.get("L", 3), "shaping.L"),
+            kappa=_integer(shaping.get("kappa", 1), "shaping.kappa"),
             seed=seed,
             link_budget=LinkBudget(**budget_entry) if budget_entry else LinkBudget(),
         )

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nullshaper.array
 from nullshaper.array import (
     ArrayModel,
     Direction,
@@ -69,6 +73,58 @@ class TestArrayFactor:
             gains(arr, np.ones(3), np.zeros(2), np.zeros(2))
 
 
+class TestBlockedGains:
+    """gains steers directions in blocks; the result must not show it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        block_rows=st.integers(2, 5),
+        full_blocks=st.integers(0, 4),
+        remainder=st.sampled_from([0, 1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_shot_product_bit_for_bit(
+        self, m, n, block_rows, full_blocks, remainder, seed
+    ):
+        count = block_rows * full_blocks + remainder
+        arr = ArrayModel(m, n, 0.45 * WL, 0.6 * WL, WL)
+        rng = np.random.default_rng(seed)
+        w = random_unit_weights(rng, arr.size)
+        theta = rng.uniform(0.0, math.pi / 2, count)
+        phi = rng.uniform(0.0, 2 * math.pi, count)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nullshaper.array, "_BLOCK_BYTES", block_rows * 16 * arr.size)
+            blocked = gains(arr, w, theta, phi)
+        one_shot = np.abs(arr.steering(theta, phi) @ w.values) ** 2
+        assert blocked.shape == (count,)
+        assert np.array_equal(blocked, one_shot)
+
+    def test_blocks_cover_directions_without_one_row_tail(self, monkeypatch):
+        monkeypatch.setattr(nullshaper.array, "_BLOCK_BYTES", 3 * 16 * 4)
+        for count in range(1, 12):
+            blocks = list(nullshaper.array._direction_blocks(count, 4))
+            assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+            assert all(b.stop - b.start >= 2 for b in blocks) or count == 1
+
+    def test_scalar_direction_gives_scalar(self):
+        arr = ArrayModel.half_wavelength(3, 3, WL)
+        assert gains(arr, WeightVector.uniform(9), 0.0, 0.0).shape == ()
+
+    def test_pattern_cut_memory_stays_bounded(self):
+        # the whole 36001 x 64 complex steering matrix alone would be 37 MB
+        arr = ArrayModel.half_wavelength(8, 8, WL)
+        w = WeightVector.uniform(64)
+        tracemalloc.start()
+        try:
+            pattern_cut(arr, w, phi_cut=0.0, samples=36001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
 class TestGain:
     def test_boresight_uniform_sixty_four(self):
         arr = ArrayModel.half_wavelength(8, 8, WL)
@@ -78,7 +134,7 @@ class TestGain:
 
     def test_zero_weights_zero_everywhere(self):
         arr = ArrayModel.half_wavelength(4, 4, WL)
-        w = WeightVector.zeros(16)
+        w = WeightVector(np.zeros(16))
         rng = np.random.default_rng(3)
         for _ in range(20):
             assert gain(arr, w, Direction(rng.uniform(0, 1.5), rng.uniform(0, 6.2))) == 0.0
@@ -124,7 +180,7 @@ class TestPatternCut:
 
     def test_floor_applied(self):
         arr = ArrayModel.half_wavelength(20, 1, WL)
-        _, levels = pattern_cut(arr, WeightVector.zeros(20), phi_cut=0.0, samples=11)
+        _, levels = pattern_cut(arr, WeightVector(np.zeros(20)), phi_cut=0.0, samples=11)
         assert (levels == -100.0).all()
 
     def test_nulls_match_closed_form_set(self):

@@ -75,6 +75,12 @@ class TestCommonBehaviour:
         pytest.param((), None, ["--kappa", "11"], id="kappa_flag"),
         pytest.param(("shaping", "L"), 317, [], id="L_file"),
         pytest.param((), None, ["--L", "317"], id="L_flag"),
+        # integer fields refuse a fractional part rather than truncating it
+        pytest.param(("shaping", "L"), 3.7, [], id="L_fractional"),
+        pytest.param(("shaping", "kappa"), 1.9, [], id="kappa_fractional"),
+        pytest.param(("seed",), 42.9, [], id="seed_fractional"),
+        pytest.param(("array", "m"), 8.5, [], id="m_fractional"),
+        pytest.param(("array", "n"), 4.5, [], id="n_fractional"),
     ])
     def test_out_of_range_value_is_validation_error(
         self, path, value, argv, scenario_path, tmp_path, capsys
@@ -214,6 +220,20 @@ class TestSweep:
         rows = [line.split(",") for line in base[2:]]
         assert [r[0] for r in rows] == ["0.0", "0.2", "0.4", "0.6000000000000001"]
         assert all(r[3] == "60" for r in rows)
+
+    def test_negative_zero_sigma_s_is_the_zero_design(self, scenario_path, tmp_path):
+        outputs = {}
+        for token in ("-0", "0"):
+            out = tmp_path / token
+            assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                         f"--sigma-s={token},0.3", "--trials", "10", "--capacity",
+                         "--sigma-i-max", "0.2", "--sigma-i-step", "0.1",
+                         "--format", "both"]) == 0
+            outputs[token] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "sweep_sigmas_0.csv" in outputs["-0"]
+        assert outputs["-0"] == outputs["0"]
+        footer = outputs["-0"]["sweep_sigmas_0.3.csv"].decode().splitlines()[-1]
+        assert footer.startswith("# crossover_vs_sigma_s_0_deg=")
 
     def test_single_trial_zero_std(self, scenario_path, tmp_path):
         out = tmp_path / "out"

@@ -181,7 +181,7 @@ class TestWeightedInterfererGain:
     def test_zero_weights_zero(self):
         arr = ArrayModel.half_wavelength(4, 4, WL)
         grid = build_grid(InterfererBelief(0.3, 0.8, 0.02, 0.02), 3, 1)
-        assert weighted_interferer_gain(arr, WeightVector.zeros(16), grid) == 0.0
+        assert weighted_interferer_gain(arr, WeightVector(np.zeros(16)), grid) == 0.0
 
     def test_term_by_term_oracle(self):
         arr = ArrayModel.half_wavelength(3, 5, WL)
