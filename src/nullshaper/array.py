@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "SPEED_OF_LIGHT",
+    "MAX_ELEMENTS",
     "ArrayModel",
     "Direction",
     "WeightVector",
@@ -43,6 +44,10 @@ DEFAULT_FLOOR_DB = -100.0
 #: directions.
 _BLOCK_BYTES = 1 << 20
 
+#: Most elements an array may have (32 x 32): weight design builds N x N
+#: complex forms, 16 MB at this cap.
+MAX_ELEMENTS = 1024
+
 
 @dataclass(frozen=True)
 class ArrayModel:
@@ -57,6 +62,8 @@ class ArrayModel:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("element counts must be >= 1")
+        if self.m * self.n > MAX_ELEMENTS:
+            raise ValueError(f"array has {self.m * self.n} elements, more than {MAX_ELEMENTS}")
         if not all(math.isfinite(v) and v > 0.0 for v in (self.dx, self.dy, self.wavelength)):
             raise ValueError("spacings and wavelength must be positive and finite")
 
@@ -90,14 +97,18 @@ class ArrayModel:
         """
         theta_arr = np.asarray(theta, dtype=float)
         phi_arr = np.asarray(phi, dtype=float)
-        scalar = theta_arr.ndim == 0 and phi_arr.ndim == 0
-        theta_arr, phi_arr = np.atleast_1d(theta_arr), np.atleast_1d(phi_arr)
-        sin_theta = np.sin(theta_arr)
-        minus_ik = -2j * np.pi / self.wavelength
-        rows = np.exp(minus_ik * np.outer(sin_theta * np.cos(phi_arr), np.arange(self.m) * self.dx))
-        cols = np.exp(minus_ik * np.outer(sin_theta * np.sin(phi_arr), np.arange(self.n) * self.dy))
-        phasors = (rows[:, :, None] * cols[:, None, :]).reshape(rows.shape[0], self.size)
-        return phasors[0] if scalar else phasors
+        phasors = _steering_rows(self, np.atleast_1d(theta_arr), np.atleast_1d(phi_arr))
+        return phasors[0] if theta_arr.ndim == 0 and phi_arr.ndim == 0 else phasors
+
+
+def _steering_rows(arr: ArrayModel, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(P, size) steering rows for 1-D arrays of P directions: the kernel
+    of ``ArrayModel.steering``, which ``gains`` calls for each block."""
+    sin_theta = np.sin(theta)
+    minus_ik = -2j * np.pi / arr.wavelength
+    rows = np.exp(minus_ik * np.outer(sin_theta * np.cos(phi), np.arange(arr.m) * arr.dx))
+    cols = np.exp(minus_ik * np.outer(sin_theta * np.sin(phi), np.arange(arr.n) * arr.dy))
+    return (rows[:, :, None] * cols[:, None, :]).reshape(rows.shape[0], arr.size)
 
 
 @dataclass(frozen=True)
@@ -121,11 +132,14 @@ class Direction:
 
 
 def _weight_values(w, size: int) -> np.ndarray:
-    """The (size,) complex values of a WeightVector or any array-like;
-    raises ValueError when the length is not ``size``."""
-    values = np.asarray(getattr(w, "values", w), dtype=complex).reshape(-1)
-    if values.size != size:
-        raise ValueError(f"weight length {values.size} != array size {size}")
+    """The complex values of a WeightVector or any array-like: a (size,)
+    vector, or a two-dimensional (S, size) stack of weight rows kept as
+    is; raises ValueError when a row is not ``size`` long."""
+    values = np.asarray(getattr(w, "values", w), dtype=complex)
+    if values.ndim != 2:
+        values = values.reshape(-1)
+    if values.shape[-1] != size:
+        raise ValueError(f"weight length {values.shape[-1]} != array size {size}")
     return values
 
 
@@ -167,41 +181,38 @@ class WeightVector:
 
 def _direction_blocks(count: int, size: int):
     """Slices that cover ``count`` directions in order, each holding about
-    ``_BLOCK_BYTES`` of (rows, size) complex steering and at least two rows.
-
-    A one-row tail is folded into the block before it: numpy takes a
-    dot-product path for a one-row matrix product, which rounds differently
-    from the matrix-vector kernel, so only a lone direction forms a one-row
-    block.
-    """
-    step = max(2, _BLOCK_BYTES // (16 * size))
-    start = 0
-    while start < count:
-        stop = start + step
-        if stop >= count - 1:
-            stop = count
-        yield slice(start, stop)
-        start = stop
+    ``_BLOCK_BYTES`` of (rows, size) complex steering."""
+    step = max(1, _BLOCK_BYTES // (16 * size))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
-    """Power gain |AF|^2 toward many directions at once.
+    """Power gain |s . w|^2 toward many directions at once.
 
-    Scalar theta and phi give a 0-d result. Otherwise theta and phi
-    broadcast together, and the flattened directions are steered in blocks
-    of about ``_BLOCK_BYTES`` each, so memory does not grow with the number
-    of directions; every block's rows are the rows the whole steering
-    matrix would hold.
+    ``w`` is one weight vector, giving a (D,) result, or a (S, size) stack
+    of weight rows, giving (D, S). theta and phi broadcast together and are
+    flattened into the D directions; scalars drop that axis instead. The
+    directions are steered in blocks of about ``_BLOCK_BYTES`` each, so
+    memory does not grow with D.
+
+    Every block, the scalar case included, is reduced by one einsum whose
+    rounding of an entry depends on neither the block nor the number of
+    weight rows: a direction scores the same bits alone, in a pattern cut,
+    in a design grid or in a sweep batch. A BLAS product would not, since
+    it picks its kernel by shape, and null depths are cancellation-limited.
     """
     values = _weight_values(w, arr.size)
+    rows = np.atleast_2d(values)
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    if theta.ndim == 0:
-        return np.abs(arr.steering(theta, phi) @ values) ** 2
+    scalar = theta.ndim == 0
     theta, phi = theta.reshape(-1), phi.reshape(-1)
-    power = np.empty(theta.size)
+    power = np.empty((theta.size, rows.shape[0]))
     for block in _direction_blocks(theta.size, arr.size):
-        power[block] = np.abs(arr.steering(theta[block], phi[block]) @ values) ** 2
-    return power
+        steer = _steering_rows(arr, theta[block], phi[block])
+        power[block] = np.abs(np.einsum("dn,sn->ds", steer, rows)) ** 2
+    if values.ndim == 1:
+        power = power[:, 0]
+    return power[0] if scalar else power
 
 
 def gain(arr: ArrayModel, w, d: Direction) -> float:

@@ -142,7 +142,8 @@ def _build_parser() -> _Parser:
                        help="Monte-Carlo trials per sigma_i point (default 1000)")
     sweep.add_argument("--sigma-s", type=_finite_list, default=None,
                        help="comma list of shaping sigmas in degrees, one design each "
-                            "(default: the scenario's interferer sigma_s)")
+                            "(default: the scenario as loaded, its interferers "
+                            "sharing one sigma_s)")
     sweep.add_argument("--sigma-i-max", type=_finite, default=1.0)
     sweep.add_argument("--sigma-i-step", type=_finite, default=0.1)
     sweep.add_argument("--capacity", action="store_true",
@@ -250,6 +251,9 @@ def _sweep_columns(sweep) -> tuple:
 
 
 def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
+    if args.sigma_s is None and len({j.sigma_s for j in scenario.interferers}) > 1:
+        raise _UsageError(
+            "the interferers' sigma_s values differ; choose the designs with --sigma-s")
     # + 0.0 folds -0 into 0, so it designs, names its files and serves as
     # the crossover baseline exactly as 0 does
     sigma_s_list = args.sigma_s or [math.degrees(scenario.interferers[0].sigma_s)]
@@ -264,11 +268,10 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
 
     sigma_i_rad = [math.radians(s) for s in sigma_i_deg]
 
-    weights = [
-        design_weights(scenario.with_sigma_s(math.radians(s))).weights for s in sigma_s_list
-    ]
-    results = monte_carlo_sweeps(scenario, weights, sigma_i_rad, trials=args.trials,
-                                 seed=scenario.seed)
+    designs = ([scenario.with_sigma_s(math.radians(s)) for s in sigma_s_list] if args.sigma_s
+               else [scenario])
+    weights = [design_weights(design).weights for design in designs]
+    results = monte_carlo_sweeps(scenario, weights, sigma_i_rad, trials=args.trials)
     sweeps = {s: psi for s, (psi, _) in zip(sigma_s_list, results)}
     capacity_sweeps = {}
     if args.capacity:

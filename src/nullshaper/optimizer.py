@@ -16,6 +16,10 @@ design is the loaded-covariance beamformer of Cox, Zeskind & Owen
 1988). One user gives the familiar ``(B + delta I)^-1 a^H``; without
 interferers B is the identity and the result is the matched beam.
 
+The objective keeps directions, not steering: its gains come from
+``array.gains``, and ``optimize`` adds B up over blocks of grid
+directions, so memory does not grow with the shaping grid.
+
 Weights are returned at unit norm, which meets the power budget
 ``||w||^2 <= 1`` with equality; the ratio is scale invariant.
 """
@@ -27,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArrayModel, Direction, WeightVector, _weight_values
+from .array import ArrayModel, Direction, WeightVector, _direction_blocks, _weight_values, gains
 from .uncertainty import NullSampleGrid
 
 __all__ = [
+    "EPS_DEN",
     "LOADING",
     "Objective",
     "OptimizationResult",
@@ -41,6 +46,10 @@ __all__ = [
 #: Floor inside log10, so a zero design value still has a finite dB figure.
 _LOG_FLOOR = 1e-300
 
+#: Floor of the effectiveness denominator, so a perfect null or all-zero
+#: weights still give a finite ratio.
+EPS_DEN = 1e-18
+
 #: Diagonal loading of the interferer form, relative to its mean
 #: eigenvalue tr(B)/N. It only has to keep B + delta I positive definite;
 #: heavier loading fills the nulls (1e-6 costs about 20 dB of realised
@@ -49,57 +58,38 @@ _LOG_FLOOR = 1e-300
 LOADING = 1e-8
 
 
-def _response_power(steering: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """|s . w|^2 for (D, size) steering rows and (S, size) weight rows: (D, S).
-
-    Summed elementwise over the element axis, not by a matrix product:
-    BLAS picks its kernel by shape, so a product would round each entry
-    differently depending on how many rows are scored together. Null
-    depths are cancellation-limited, so that rounding would show as a
-    different value for the same direction in a design grid and in a
-    sweep batch.
-    """
-    return np.abs(np.sum(steering[:, np.newaxis, :] * weights[np.newaxis, :, :], axis=-1)) ** 2
-
-
 class Objective:
     """Mitigation effectiveness for fixed users and interferer grids.
 
-    Steering vectors for every evaluation direction are precomputed once.
-    An empty grid list disables the interferers (denominator pinned to 1),
-    which turns the objective into plain mean user gain.
+    Keeps the user directions and the concatenated grid directions with
+    their weights; every gain is evaluated by ``array.gains``. An empty
+    grid list disables the interferers (denominator pinned to 1), which
+    turns the objective into plain mean user gain.
     """
+
+    #: ``EPS_DEN``, also readable on the objective: bench/tracing.py reads it.
+    eps_den = EPS_DEN
 
     def __init__(
         self,
         array: ArrayModel,
         user_directions: list[Direction] | tuple[Direction, ...],
         interferer_grids: list[NullSampleGrid] | tuple[NullSampleGrid, ...] = (),
-        eps_den: float = 1e-18,
     ):
         if len(user_directions) < 1:
             raise ValueError("need at least one user direction")
-        if eps_den <= 0.0:
-            raise ValueError("eps_den must be positive")
         self.array = array
         self.user_directions = tuple(user_directions)
         self.interferer_grids = tuple(interferer_grids)
-        self.eps_den = float(eps_den)
 
-        self._user_steering = array.steering(
-            np.array([d.theta for d in self.user_directions]),
-            np.array([d.phi for d in self.user_directions]),
-        )
+        self._users = np.array([[d.theta, d.phi] for d in self.user_directions])
         if self.interferer_grids:
-            j_count = len(self.interferer_grids)
-            self._grid_steering = np.vstack(
-                [array.steering(g.thetas, g.phis) for g in self.interferer_grids]
-            )
+            self._grid_directions = np.concatenate([g.directions for g in self.interferer_grids])
             self._grid_weights = np.concatenate(
                 [g.weights for g in self.interferer_grids]
-            ) / j_count
+            ) / len(self.interferer_grids)
         else:
-            self._grid_steering = None
+            self._grid_directions = None
             self._grid_weights = None
 
     @property
@@ -111,15 +101,14 @@ class Objective:
         return len(self.interferer_grids)
 
     def user_gain_mean(self, w) -> float:
-        row = _weight_values(w, self.array.size)[np.newaxis, :]
-        return float(np.mean(_response_power(self._user_steering, row)))
+        return float(np.mean(gains(self.array, w, self._users[:, 0], self._users[:, 1])))
 
     def interferer_gain_mean(self, w) -> float:
         """Mean over interferers of the probability-weighted gain."""
-        if self._grid_steering is None:
+        if self._grid_directions is None:
             raise ValueError("objective has no interferers")
-        row = _weight_values(w, self.array.size)[np.newaxis, :]
-        return float(self._grid_weights @ _response_power(self._grid_steering, row)[:, 0])
+        grid = self._grid_directions
+        return float(self._grid_weights @ gains(self.array, w, grid[:, 0], grid[:, 1]))
 
     def value(self, w) -> float:
         values = _weight_values(w, self.array.size)
@@ -127,18 +116,20 @@ class Objective:
 
     def value_batch(self, weights: np.ndarray) -> np.ndarray:
         """Objective for a (S, size) batch of complex weight rows."""
-        numerator = np.mean(_response_power(self._user_steering, weights), axis=0)
-        if self._grid_steering is None:
+        users = self._users
+        numerator = np.mean(gains(self.array, weights, users[:, 0], users[:, 1]), axis=0)
+        if self._grid_directions is None:
             return numerator
-        denominator = self._grid_weights @ _response_power(self._grid_steering, weights)
-        return numerator / np.maximum(denominator, self.eps_den)
+        grid = self._grid_directions
+        denominator = self._grid_weights @ gains(self.array, weights, grid[:, 0], grid[:, 1])
+        return numerator / np.maximum(denominator, EPS_DEN)
 
 
 def mitigation_effectiveness(obj: Objective, w) -> float:
     """Ratio of mean user gain to mean weighted interferer gain.
 
-    The denominator is clamped at ``obj.eps_den``, so a perfect null yields
-    numerator / eps_den and an all-zero weight vector yields 0.
+    The denominator is clamped at ``EPS_DEN``, so a perfect null yields
+    numerator / EPS_DEN and an all-zero weight vector yields 0.
     """
     return obj.value(w)
 
@@ -150,7 +141,7 @@ class OptimizationResult:
     ``trace`` holds the design value in dB, one entry, and ``evaluations``
     is 1 (one eigen-solve). ``loading`` is the diagonal load delta added to
     the interferer form. ``clamped`` is true when the weighted interferer
-    gain of the design sits at or below ``eps_den``, so ``psi`` reports the
+    gain of the design sits at or below ``EPS_DEN``, so ``psi`` reports the
     clamp rather than the null depth.
     """
 
@@ -168,16 +159,21 @@ def optimize(obj: Objective) -> OptimizationResult:
 
     B + delta I = L L^H is Cholesky-factored, the top eigenvector v of
     the whitened user form L^-1 A L^-H is found with ``eigh``, and
-    w = L^-H v. Deterministic.
+    w = L^-H v. B is added up over blocks of about ``array._BLOCK_BYTES``
+    of grid steering, so no whole grid steering matrix is built.
+    Deterministic.
     """
     size = obj.array.size
-    users = obj._user_steering
+    users = obj.array.steering(obj._users[:, 0], obj._users[:, 1])
     user_form = users.conj().T @ users / obj.user_count
-    if obj._grid_steering is None:
+    if obj._grid_directions is None:
         interferer_form = np.eye(size, dtype=complex)
     else:
-        grid = obj._grid_steering
-        interferer_form = (grid.conj().T * obj._grid_weights) @ grid
+        directions, weights = obj._grid_directions, obj._grid_weights
+        interferer_form = np.zeros((size, size), dtype=complex)
+        for block in _direction_blocks(weights.size, size):
+            grid = obj.array.steering(directions[block, 0], directions[block, 1])
+            interferer_form += (grid.conj().T * weights[block]) @ grid
     loading = LOADING * float(np.trace(interferer_form).real) / size
     interferer_form[np.diag_indices(size)] += loading
     chol = np.linalg.cholesky(interferer_form)
@@ -189,7 +185,7 @@ def optimize(obj: Objective) -> OptimizationResult:
 
     psi = obj.value(weights)
     psi_db = 10.0 * math.log10(max(psi, _LOG_FLOOR))
-    clamped = bool(obj.interferer_count) and obj.interferer_gain_mean(weights) <= obj.eps_den
+    clamped = bool(obj.interferer_count) and obj.interferer_gain_mean(weights) <= EPS_DEN
     return OptimizationResult(
         weights=weights,
         psi=psi,

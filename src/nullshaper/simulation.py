@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array import ArrayModel, Direction, WeightVector, _direction_blocks, _weight_values
+from .array import ArrayModel, Direction, WeightVector, _weight_values, gains
 from .geodesy import (
     WGS84,
     EllipsoidParams,
@@ -36,7 +36,7 @@ from .geodesy import (
     geodetic_to_ecef,
     ned_to_ecef_rotation,
 )
-from .optimizer import Objective, OptimizationResult, _response_power, optimize
+from .optimizer import EPS_DEN, Objective, OptimizationResult, optimize
 from .uncertainty import InterfererBelief, NullSampleGrid, build_grid
 
 __all__ = [
@@ -188,14 +188,14 @@ def geodetic_to_direction(
     return Direction(off_nadir, azimuth % (2.0 * math.pi))
 
 
-def build_objective(sc: Scenario, eps_den: float = 1e-18) -> Objective:
+def build_objective(sc: Scenario) -> Objective:
     """Assemble the design objective: shaped grids from each interferer's
     belief with (sigma_theta, sigma_phi) both equal to its sigma_s."""
     grids = []
     for site, mean in zip(sc.interferers, sc.interferer_directions()):
         belief = InterfererBelief.isotropic(mean.theta, mean.phi, site.sigma_s)
         grids.append(build_grid(belief, sc.samples_per_axis, sc.kappa))
-    return Objective(sc.array, sc.user_directions(), grids, eps_den=eps_den)
+    return Objective(sc.array, sc.user_directions(), grids)
 
 
 def design_weights(sc: Scenario) -> OptimizationResult:
@@ -225,9 +225,9 @@ class SweepResult:
             raise ValueError("sigma_i grid must be sorted")
 
 
-def _psi_db(user_gain: float, interferer_gains: np.ndarray, eps_den: float) -> np.ndarray:
+def _psi_db(user_gain: float, interferer_gains: np.ndarray) -> np.ndarray:
     """Per-trial effectiveness in dB from (trials, J) point-interferer gains."""
-    psi = user_gain / np.maximum(np.mean(interferer_gains, axis=1), eps_den)
+    psi = user_gain / np.maximum(np.mean(interferer_gains, axis=1), EPS_DEN)
     return 10.0 * np.log10(np.maximum(psi, 1e-300))
 
 
@@ -246,8 +246,6 @@ def monte_carlo_sweeps(
     sigma_i_grid,
     trials: int = 1000,
     seed: int | None = None,
-    link_budget: LinkBudget | None = None,
-    eps_den: float = 1e-18,
 ) -> list[tuple[SweepResult, SweepResult | None]]:
     """Score several fixed weight vectors against interferer position error.
 
@@ -256,14 +254,12 @@ def monte_carlo_sweeps(
     trial t at mean_j + sigma_i * z[t, j]. Every sigma_i point, every
     design and both metrics share these draws (common random numbers), so
     a row does not depend on the grid around it and designs differ only by
-    their weights. Per sigma_i point the trials x J realised directions
-    are steered once, in blocks of about ``array._BLOCK_BYTES`` of steering
-    each, so memory does not grow with ``trials``; each weight row is then
-    scored on the block on its own through the design objective's response
-    helper. That helper's per-row rounding depends on neither the block nor
-    the batch size, so a realised point reproduces the single-point-grid
-    objective value bit for bit, and per-trial scores stay whole arrays
-    whose means and deviations do not depend on the blocking.
+    their weights. Per sigma_i point one ``array.gains`` call scores every
+    weight row on the trials x J realised directions, steered in bounded
+    blocks, so memory does not grow with ``trials``. Its rounding depends
+    on neither the blocking nor the number of rows, so a realised point
+    reproduces the single-point-grid objective value bit for bit. The
+    link budget is the scenario's.
 
     Returns one ``(psi, capacity)`` pair per weight row: psi rows in dB,
     capacity rows in bits/s/Hz, or None when the scenario does not serve
@@ -275,9 +271,8 @@ def monte_carlo_sweeps(
     if sigma_list != sorted(sigma_list):
         raise ValueError("sigma_i grid must be sorted")
     seed = sc.seed if seed is None else seed
-    budget = link_budget if link_budget is not None else sc.link_budget
 
-    rows = [_weight_values(w, sc.array.size)[np.newaxis, :] for w in weights]
+    rows = np.array([_weight_values(w, sc.array.size) for w in weights]).reshape(-1, sc.array.size)
     users = Objective(sc.array, sc.user_directions())
     user_gains = [users.user_gain_mean(row) for row in rows]
     with_capacity = users.user_count == 1
@@ -289,17 +284,13 @@ def monte_carlo_sweeps(
     cap_mean, cap_std = np.empty(shape), np.empty(shape)
     for point, sigma_i in enumerate(sigma_list):
         flat = (means + sigma_i * z).reshape(-1, 2)
-        power = np.empty((len(rows), flat.shape[0]))
-        for block in _direction_blocks(flat.shape[0], sc.array.size):
-            steer = sc.array.steering(flat[block, 0], flat[block, 1])
-            for design, row in enumerate(rows):
-                power[design, block] = _response_power(steer, row)[:, 0]
+        power = gains(sc.array, rows, flat[:, 0], flat[:, 1])
         for design, user_gain in enumerate(user_gains):
-            interferer_gains = power[design].reshape(trials, -1)
-            per_trial = _psi_db(user_gain, interferer_gains, eps_den)
+            interferer_gains = power[:, design].reshape(trials, -1)
+            per_trial = _psi_db(user_gain, interferer_gains)
             psi_mean[design, point], psi_std[design, point] = per_trial.mean(), per_trial.std()
             if with_capacity:
-                per_trial = _capacity_bits(user_gain, interferer_gains, budget)
+                per_trial = _capacity_bits(user_gain, interferer_gains, sc.link_budget)
                 cap_mean[design, point], cap_std[design, point] = per_trial.mean(), per_trial.std()
 
     sigma_i_deg = tuple(math.degrees(s) for s in sigma_list)
@@ -323,8 +314,6 @@ def monte_carlo_sweep(
     trials: int = 1000,
     seed: int | None = None,
     metric: str = "psi",
-    link_budget: LinkBudget | None = None,
-    eps_den: float = 1e-18,
 ) -> SweepResult:
     """Score fixed weights against interferer position error.
 
@@ -340,37 +329,29 @@ def monte_carlo_sweep(
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "capacity" and len(sc.users) != 1:
         raise UnsupportedScenarioError("capacity metric requires exactly one user")
-    psi, cap = monte_carlo_sweeps(sc, [w], sigma_i_grid, trials, seed, link_budget, eps_den)[0]
+    psi, cap = monte_carlo_sweeps(sc, [w], sigma_i_grid, trials, seed)[0]
     return psi if metric == "psi" else cap
 
 
-def capacity(
-    sc: Scenario,
-    w: WeightVector,
-    realized_directions,
-    link_budget: LinkBudget | None = None,
-) -> float:
+def capacity(sc: Scenario, w: WeightVector, realized_directions) -> float:
     """Shannon capacity log2(1 + SINR) of the single served user for one
     set of realised interferer directions.
 
     ``realized_directions`` is a (J, 2) array of (theta, phi) rows or a
     list of :class:`Direction`. Raises for K != 1. Scored exactly as one
-    trial of :func:`monte_carlo_sweeps`.
+    trial of :func:`monte_carlo_sweeps`, with the scenario's link budget.
     """
     if len(sc.users) != 1:
         raise UnsupportedScenarioError("capacity metric requires exactly one user")
-    budget = link_budget if link_budget is not None else sc.link_budget
     if isinstance(realized_directions, (list, tuple)) and realized_directions and isinstance(
         realized_directions[0], Direction
     ):
         realized = np.array([[d.theta, d.phi] for d in realized_directions])
     else:
         realized = np.asarray(realized_directions, dtype=float).reshape(-1, 2)
-    row = _weight_values(w, sc.array.size)[np.newaxis, :]
-    steer = sc.array.steering(realized[:, 0], realized[:, 1])
-    interferer_gains = _response_power(steer, row).reshape(1, -1)
-    user_gain = Objective(sc.array, sc.user_directions()).user_gain_mean(row)
-    return float(_capacity_bits(user_gain, interferer_gains, budget)[0])
+    interferer_gains = gains(sc.array, w, realized[:, 0], realized[:, 1]).reshape(1, -1)
+    user_gain = Objective(sc.array, sc.user_directions()).user_gain_mean(w)
+    return float(_capacity_bits(user_gain, interferer_gains, sc.link_budget)[0])
 
 
 def crossover_sigma(baseline: SweepResult, other: SweepResult) -> float | None:

@@ -80,7 +80,7 @@ class TestBlockedGains:
     @given(
         m=st.integers(1, 6),
         n=st.integers(1, 6),
-        block_rows=st.integers(2, 5),
+        block_rows=st.integers(1, 5),
         full_blocks=st.integers(0, 4),
         remainder=st.sampled_from([0, 1, 2]),
         seed=st.integers(0, 2**32 - 1),
@@ -97,20 +97,60 @@ class TestBlockedGains:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nullshaper.array, "_BLOCK_BYTES", block_rows * 16 * arr.size)
             blocked = gains(arr, w, theta, phi)
-        one_shot = np.abs(arr.steering(theta, phi) @ w.values) ** 2
+        # every direction scored alone, one block of one row
+        alone = np.array([gains(arr, w, t, p) for t, p in zip(theta, phi)])
         assert blocked.shape == (count,)
-        assert np.array_equal(blocked, one_shot)
+        assert np.array_equal(blocked, alone)
 
-    def test_blocks_cover_directions_without_one_row_tail(self, monkeypatch):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        rows=st.integers(1, 5),
+        count=st.integers(0, 12),
+        block_bytes=st.integers(1, 1 << 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weight_stack_matches_single_rows_bit_for_bit(
+        self, m, n, rows, count, block_bytes, seed
+    ):
+        arr = ArrayModel(m, n, 0.45 * WL, 0.6 * WL, WL)
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_unit_weights(rng, arr.size).values for _ in range(rows)])
+        theta = rng.uniform(0.0, math.pi / 2, count)
+        phi = rng.uniform(0.0, 2 * math.pi, count)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nullshaper.array, "_BLOCK_BYTES", block_bytes)
+            batch = gains(arr, stack, theta, phi)
+            singles = np.array([gains(arr, row, theta, phi) for row in stack]).reshape(rows, count)
+        alone = np.array(
+            [[gains(arr, row, t, p) for row in stack] for t, p in zip(theta, phi)]
+        ).reshape(count, rows)
+        assert batch.shape == (count, rows)
+        assert np.array_equal(batch, singles.T)
+        assert np.array_equal(batch, alone)
+
+    def test_gain_is_the_matching_batch_entry(self):
+        arr = ArrayModel.half_wavelength(8, 8, WL)
+        rng = np.random.default_rng(3)
+        stack = np.array([random_unit_weights(rng, 64).values for _ in range(3)])
+        theta = rng.uniform(0.0, math.pi / 2, 50)
+        phi = rng.uniform(0.0, 2 * math.pi, 50)
+        batch = gains(arr, stack, theta, phi)
+        for i in (0, 17, 49):
+            for s, row in enumerate(stack):
+                assert gain(arr, row, Direction(theta[i], phi[i])) == batch[i, s]
+
+    def test_blocks_cover_directions_in_order(self, monkeypatch):
         monkeypatch.setattr(nullshaper.array, "_BLOCK_BYTES", 3 * 16 * 4)
-        for count in range(1, 12):
+        for count in range(0, 12):
             blocks = list(nullshaper.array._direction_blocks(count, 4))
             assert [i for b in blocks for i in range(count)[b]] == list(range(count))
-            assert all(b.stop - b.start >= 2 for b in blocks) or count == 1
 
     def test_scalar_direction_gives_scalar(self):
         arr = ArrayModel.half_wavelength(3, 3, WL)
         assert gains(arr, WeightVector.uniform(9), 0.0, 0.0).shape == ()
+        assert gains(arr, np.ones((2, 9)) / 3.0, 0.0, 0.0).shape == (2,)
 
     def test_pattern_cut_memory_stays_bounded(self):
         # the whole 36001 x 64 complex steering matrix alone would be 37 MB
@@ -275,6 +315,9 @@ class TestArrayModel:
             ArrayModel(0, 4, 0.01, 0.01, WL)
         with pytest.raises(ValueError):
             ArrayModel(4, 4, -0.01, 0.01, WL)
+        assert ArrayModel(32, 32, 0.01, 0.01, WL).size == nullshaper.array.MAX_ELEMENTS
+        with pytest.raises(ValueError):
+            ArrayModel(33, 32, 0.01, 0.01, WL)
 
     def test_steering_matches_explicit_double_sum(self):
         # rectangular, with unequal spacings, off the principal cuts

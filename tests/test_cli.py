@@ -81,6 +81,9 @@ class TestCommonBehaviour:
         pytest.param(("seed",), 42.9, [], id="seed_fractional"),
         pytest.param(("array", "m"), 8.5, [], id="m_fractional"),
         pytest.param(("array", "n"), 4.5, [], id="n_fractional"),
+        # more than MAX_ELEMENTS (1024) elements
+        pytest.param(("array", "m"), 257, [], id="elements_over_cap"),
+        pytest.param(("array",), {"m": 1000, "n": 1000}, [], id="array_1000x1000"),
     ])
     def test_out_of_range_value_is_validation_error(
         self, path, value, argv, scenario_path, tmp_path, capsys
@@ -234,6 +237,23 @@ class TestSweep:
         assert outputs["-0"] == outputs["0"]
         footer = outputs["-0"]["sweep_sigmas_0.3.csv"].decode().splitlines()[-1]
         assert footer.startswith("# crossover_vs_sigma_s_0_deg=")
+
+    def test_differing_scenario_sigma_s_needs_sigma_s_flag(self, scenario_path, tmp_path, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["interferers"] = [
+            dict(raw["interferers"][0], sigma_s_deg=0.1),
+            {"lon_deg": 140.0, "lat_deg": -20.5, "sigma_s_deg": 0.5},
+        ]
+        scenario_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = ["sweep", "--scenario", str(scenario_path), "--out", str(out), "--trials", "5",
+                "--sigma-i-max", "0.1", "--sigma-i-step", "0.1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--sigma-s" in err
+        assert not list(tmp_path.rglob("*.csv"))
+        assert main(argv + ["--sigma-s", "0.1,0.5"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["sweep_sigmas_0.1.csv", "sweep_sigmas_0.5.csv"]
 
     def test_single_trial_zero_std(self, scenario_path, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import nullshaper.array
 from nullshaper.array import ArrayModel, Direction, WeightVector, gain
 from nullshaper.geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
-from nullshaper.optimizer import Objective, mitigation_effectiveness
+from nullshaper.optimizer import Objective, mitigation_effectiveness, optimize
 from nullshaper.simulation import (
     InterfererSite,
     LinkBudget,
@@ -16,6 +17,7 @@ from nullshaper.simulation import (
     ScenarioError,
     UnsupportedScenarioError,
     VisibilityError,
+    build_objective,
     capacity,
     crossover_sigma,
     design_weights,
@@ -95,6 +97,17 @@ class TestDesignWeights:
         result = design_weights(make_scenario())
         assert np.vdot(result.weights.values, result.weights.values).real <= 1.0 + 1e-9
         assert result.psi > 1.0 and not result.clamped
+
+    def test_design_memory_stays_bounded(self):
+        # 40,000 grid directions: their whole steering matrix alone would be 41 MB
+        sc = make_scenario(samples_per_axis=200)
+        tracemalloc.start()
+        try:
+            optimize(build_objective(sc))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_direction_typed_scenario(self):
         sc = Scenario(
@@ -187,7 +200,7 @@ class TestMonteCarloSweep:
         weights = [design_weights(sc).weights, WeightVector.uniform(64)]
         grid = [0.0, math.radians(0.3), math.radians(0.9)]
         default = monte_carlo_sweeps(sc, weights, grid, trials=37, seed=14)
-        # 2-row blocks: 74 realised directions per sigma_i point, many blocks
+        # 1-row blocks: 74 realised directions per sigma_i point, 74 blocks
         monkeypatch.setattr(nullshaper.array, "_BLOCK_BYTES", 1)
         assert monte_carlo_sweeps(sc, weights, grid, trials=37, seed=14) == default
 
@@ -235,7 +248,7 @@ class TestCapacity:
         user_gain = gain(sc.array, w, sc.user_directions()[0])
         budget = LinkBudget(user_power=10.0, interferer_power=1e-30, noise_power=1.0)
         mean = sc.interferer_directions()[0]
-        value = capacity(sc, w, [[mean.theta + 0.1, mean.phi]], budget)
+        value = capacity(replace(sc, link_budget=budget), w, [[mean.theta + 0.1, mean.phi]])
         assert value == pytest.approx(math.log2(1.0 + 10.0 * user_gain), rel=1e-12)
 
     def test_zero_user_gain_zero_capacity(self):
