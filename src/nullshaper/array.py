@@ -97,18 +97,14 @@ class ArrayModel:
         """
         theta_arr = np.asarray(theta, dtype=float)
         phi_arr = np.asarray(phi, dtype=float)
-        phasors = _steering_rows(self, np.atleast_1d(theta_arr), np.atleast_1d(phi_arr))
-        return phasors[0] if theta_arr.ndim == 0 and phi_arr.ndim == 0 else phasors
-
-
-def _steering_rows(arr: ArrayModel, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(P, size) steering rows for 1-D arrays of P directions: the kernel
-    of ``ArrayModel.steering``, which ``gains`` calls for each block."""
-    sin_theta = np.sin(theta)
-    minus_ik = -2j * np.pi / arr.wavelength
-    rows = np.exp(minus_ik * np.outer(sin_theta * np.cos(phi), np.arange(arr.m) * arr.dx))
-    cols = np.exp(minus_ik * np.outer(sin_theta * np.sin(phi), np.arange(arr.n) * arr.dy))
-    return (rows[:, :, None] * cols[:, None, :]).reshape(rows.shape[0], arr.size)
+        scalar = theta_arr.ndim == 0 and phi_arr.ndim == 0
+        theta_arr, phi_arr = np.atleast_1d(theta_arr), np.atleast_1d(phi_arr)
+        sin_theta = np.sin(theta_arr)
+        minus_ik = -2j * np.pi / self.wavelength
+        rows = np.exp(minus_ik * np.outer(sin_theta * np.cos(phi_arr), np.arange(self.m) * self.dx))
+        cols = np.exp(minus_ik * np.outer(sin_theta * np.sin(phi_arr), np.arange(self.n) * self.dy))
+        phasors = (rows[:, :, None] * cols[:, None, :]).reshape(rows.shape[0], self.size)
+        return phasors[0] if scalar else phasors
 
 
 @dataclass(frozen=True)
@@ -132,11 +128,12 @@ class Direction:
 
 
 def _weight_values(w, size: int) -> np.ndarray:
-    """The complex values of a WeightVector or any array-like: a (size,)
-    vector, or a two-dimensional (S, size) stack of weight rows kept as
-    is; raises ValueError when a row is not ``size`` long."""
+    """The complex values of a WeightVector or any array-like: an (S, size)
+    stack of weight rows is kept as is, anything else (a column, say) is
+    flattened to one (size,) vector; raises ValueError when a row is not
+    ``size`` long."""
     values = np.asarray(getattr(w, "values", w), dtype=complex)
-    if values.ndim != 2:
+    if values.ndim != 2 or values.shape[1] != size:
         values = values.reshape(-1)
     if values.shape[-1] != size:
         raise ValueError(f"weight length {values.shape[-1]} != array size {size}")
@@ -186,6 +183,14 @@ def _direction_blocks(count: int, size: int):
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
+def _power(steering: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|s . w|^2 for (D, size) steering and (S, size) weight rows: (D, S).
+    One einsum, whose rounding of an entry depends on neither D nor S; a
+    BLAS product picks its kernel by shape, and null depths are
+    cancellation-limited."""
+    return np.abs(np.einsum("dn,sn->ds", steering, rows)) ** 2
+
+
 def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
     """Power gain |s . w|^2 toward many directions at once.
 
@@ -193,13 +198,8 @@ def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
     of weight rows, giving (D, S). theta and phi broadcast together and are
     flattened into the D directions; scalars drop that axis instead. The
     directions are steered in blocks of about ``_BLOCK_BYTES`` each, so
-    memory does not grow with D.
-
-    Every block, the scalar case included, is reduced by one einsum whose
-    rounding of an entry depends on neither the block nor the number of
-    weight rows: a direction scores the same bits alone, in a pattern cut,
-    in a design grid or in a sweep batch. A BLAS product would not, since
-    it picks its kernel by shape, and null depths are cancellation-limited.
+    memory does not grow with D. Every block, the scalar case included,
+    is reduced by ``_power``, so the blocking does not change a bit.
     """
     values = _weight_values(w, arr.size)
     rows = np.atleast_2d(values)
@@ -208,8 +208,7 @@ def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
     theta, phi = theta.reshape(-1), phi.reshape(-1)
     power = np.empty((theta.size, rows.shape[0]))
     for block in _direction_blocks(theta.size, arr.size):
-        steer = _steering_rows(arr, theta[block], phi[block])
-        power[block] = np.abs(np.einsum("dn,sn->ds", steer, rows)) ** 2
+        power[block] = _power(arr.steering(theta[block], phi[block]), rows)
     if values.ndim == 1:
         power = power[:, 0]
     return power[0] if scalar else power
@@ -217,7 +216,7 @@ def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
 
 def gain(arr: ArrayModel, w, d: Direction) -> float:
     """Power gain toward one direction."""
-    return float(gains(arr, w, d.theta, d.phi))
+    return gains(arr, w, d.theta, d.phi).item()
 
 
 def pattern_cut(

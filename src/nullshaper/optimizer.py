@@ -16,9 +16,10 @@ design is the loaded-covariance beamformer of Cox, Zeskind & Owen
 1988). One user gives the familiar ``(B + delta I)^-1 a^H``; without
 interferers B is the identity and the result is the matched beam.
 
-The objective keeps directions, not steering: its gains come from
-``array.gains``, and ``optimize`` adds B up over blocks of grid
-directions, so memory does not grow with the shaping grid.
+The objective keeps the few user steering rows but only the directions
+of the shaping grid: grid gains come from ``array.gains``, and
+``optimize`` adds B up over blocks of grid directions, so memory does not
+grow with the grid. Every response power goes through ``array._power``.
 
 Weights are returned at unit norm, which meets the power budget
 ``||w||^2 <= 1`` with equality; the ratio is scale invariant.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArrayModel, Direction, WeightVector, _direction_blocks, _weight_values, gains
+from .array import ArrayModel, Direction, WeightVector, _direction_blocks, _power, _weight_values, gains
 from .uncertainty import NullSampleGrid
 
 __all__ = [
@@ -61,10 +62,11 @@ LOADING = 1e-8
 class Objective:
     """Mitigation effectiveness for fixed users and interferer grids.
 
-    Keeps the user directions and the concatenated grid directions with
-    their weights; every gain is evaluated by ``array.gains``. An empty
-    grid list disables the interferers (denominator pinned to 1), which
-    turns the objective into plain mean user gain.
+    Keeps the steering rows toward the users, steered once, and the
+    concatenated grid directions with their weights, which ``array.gains``
+    steers in bounded blocks on every evaluation. An empty grid list
+    disables the interferers (denominator pinned to 1), which turns the
+    objective into plain mean user gain.
     """
 
     #: ``EPS_DEN``, also readable on the objective: bench/tracing.py reads it.
@@ -82,15 +84,11 @@ class Objective:
         self.user_directions = tuple(user_directions)
         self.interferer_grids = tuple(interferer_grids)
 
-        self._users = np.array([[d.theta, d.phi] for d in self.user_directions])
-        if self.interferer_grids:
-            self._grid_directions = np.concatenate([g.directions for g in self.interferer_grids])
-            self._grid_weights = np.concatenate(
-                [g.weights for g in self.interferer_grids]
-            ) / len(self.interferer_grids)
-        else:
-            self._grid_directions = None
-            self._grid_weights = None
+        thetas, phis = np.array([(d.theta, d.phi) for d in self.user_directions]).T
+        self._user_steering = array.steering(thetas, phis)
+        grids = self.interferer_grids
+        self._grid_directions = np.concatenate([g.directions for g in grids]) if grids else None
+        self._grid_weights = np.concatenate([g.weights for g in grids]) / len(grids) if grids else None
 
     @property
     def user_count(self) -> int:
@@ -100,28 +98,37 @@ class Objective:
     def interferer_count(self) -> int:
         return len(self.interferer_grids)
 
+    def _row(self, w) -> np.ndarray:
+        """One weight vector as a (1, size) stack."""
+        return _weight_values(w, self.array.size).reshape(1, -1)
+
+    def _terms(self, weights) -> tuple[np.ndarray, np.ndarray | None]:
+        """Mean user gain and weighted interferer gain (None without
+        interferers) of each row of an (S, size) weight stack."""
+        rows = _weight_values(weights, self.array.size).reshape(-1, self.array.size)
+        numerator = np.mean(_power(self._user_steering, rows), axis=0)
+        if self._grid_directions is None:
+            return numerator, None
+        grid = self._grid_directions
+        return numerator, self._grid_weights @ gains(self.array, rows, grid[:, 0], grid[:, 1])
+
     def user_gain_mean(self, w) -> float:
-        return float(np.mean(gains(self.array, w, self._users[:, 0], self._users[:, 1])))
+        return float(np.mean(_power(self._user_steering, self._row(w))))
 
     def interferer_gain_mean(self, w) -> float:
         """Mean over interferers of the probability-weighted gain."""
         if self._grid_directions is None:
             raise ValueError("objective has no interferers")
-        grid = self._grid_directions
-        return float(self._grid_weights @ gains(self.array, w, grid[:, 0], grid[:, 1]))
+        return float(self._terms(self._row(w))[1][0])
 
     def value(self, w) -> float:
-        values = _weight_values(w, self.array.size)
-        return float(self.value_batch(values[np.newaxis, :])[0])
+        return float(self.value_batch(self._row(w))[0])
 
     def value_batch(self, weights: np.ndarray) -> np.ndarray:
         """Objective for a (S, size) batch of complex weight rows."""
-        users = self._users
-        numerator = np.mean(gains(self.array, weights, users[:, 0], users[:, 1]), axis=0)
-        if self._grid_directions is None:
+        numerator, denominator = self._terms(weights)
+        if denominator is None:
             return numerator
-        grid = self._grid_directions
-        denominator = self._grid_weights @ gains(self.array, weights, grid[:, 0], grid[:, 1])
         return numerator / np.maximum(denominator, EPS_DEN)
 
 
@@ -160,11 +167,12 @@ def optimize(obj: Objective) -> OptimizationResult:
     B + delta I = L L^H is Cholesky-factored, the top eigenvector v of
     the whitened user form L^-1 A L^-H is found with ``eigh``, and
     w = L^-H v. B is added up over blocks of about ``array._BLOCK_BYTES``
-    of grid steering, so no whole grid steering matrix is built.
+    of grid steering, so no whole grid steering matrix is built, and the
+    design is scored with one more blocked pass over the grid.
     Deterministic.
     """
     size = obj.array.size
-    users = obj.array.steering(obj._users[:, 0], obj._users[:, 1])
+    users = obj._user_steering
     user_form = users.conj().T @ users / obj.user_count
     if obj._grid_directions is None:
         interferer_form = np.eye(size, dtype=complex)
@@ -183,9 +191,10 @@ def optimize(obj: Objective) -> OptimizationResult:
     best = np.linalg.solve(chol.conj().T, vectors[:, -1])
     weights = WeightVector(best / np.linalg.norm(best))
 
-    psi = obj.value(weights)
+    numerator, denominator = obj._terms(weights)
+    clamped = denominator is not None and bool(denominator[0] <= EPS_DEN)
+    psi = float(numerator[0] if denominator is None else numerator[0] / max(denominator[0], EPS_DEN))
     psi_db = 10.0 * math.log10(max(psi, _LOG_FLOOR))
-    clamped = bool(obj.interferer_count) and obj.interferer_gain_mean(weights) <= EPS_DEN
     return OptimizationResult(
         weights=weights,
         psi=psi,

@@ -152,6 +152,14 @@ class TestBlockedGains:
         assert gains(arr, WeightVector.uniform(9), 0.0, 0.0).shape == ()
         assert gains(arr, np.ones((2, 9)) / 3.0, 0.0, 0.0).shape == (2,)
 
+    def test_row_and_column_weights_score_like_the_vector(self):
+        arr = ArrayModel.half_wavelength(3, 3, WL)
+        w = WeightVector.uniform(9)
+        d = Direction(0.3, 1.0)
+        assert gain(arr, w.values.reshape(-1, 1), d) == gain(arr, w, d)
+        assert gain(arr, w.values.reshape(1, -1), d) == gain(arr, w, d)
+        assert gains(arr, w.values.reshape(-1, 1), 0.3, 1.0).shape == ()
+
     def test_pattern_cut_memory_stays_bounded(self):
         # the whole 36001 x 64 complex steering matrix alone would be 37 MB
         arr = ArrayModel.half_wavelength(8, 8, WL)

@@ -87,6 +87,21 @@ class TestMitigationEffectiveness:
         obj = null_objective()
         with pytest.raises(ValueError):
             obj.value(np.ones(7, dtype=complex))
+        with pytest.raises(ValueError):
+            obj.value(np.ones((2, 20), dtype=complex) / 20.0)
+
+    def test_row_and_column_weights_score_like_the_vector(self):
+        obj = null_objective(sigma_s_deg=1.0, samples=3, kappa=1)
+        w = WeightVector.uniform(20)
+        base = mitigation_effectiveness(obj, w)
+        assert mitigation_effectiveness(obj, w.values.reshape(1, -1)) == base
+        assert mitigation_effectiveness(obj, w.values.reshape(-1, 1)) == base
+        column_gain = obj.interferer_gain_mean(w.values.reshape(-1, 1))
+        assert column_gain == obj.interferer_gain_mean(w)
+        grid = obj.interferer_grids[0]
+        assert weighted_interferer_gain(obj.array, w.values.reshape(-1, 1), grid) == weighted_interferer_gain(
+            obj.array, w, grid
+        )
 
 
 class TestOptimize:
@@ -135,6 +150,15 @@ class TestOptimize:
         assert (np.diff(trace) >= 0.0).all()
         assert result.psi_db == pytest.approx(10.0 * math.log10(result.psi), rel=1e-9)
         assert result.loading > 0.0 and not result.clamped
+
+    def test_design_value_is_the_objective_value(self):
+        # optimize scores its design with one pass over the grid; psi and
+        # clamped must still be what the objective itself reports
+        for sigma_s_deg in (0.0, 0.5):
+            obj = null_objective(sigma_s_deg=sigma_s_deg, samples=3, kappa=1)
+            result = optimize(obj)
+            assert result.psi == obj.value(result.weights)
+            assert result.clamped == (obj.interferer_gain_mean(result.weights) <= obj.eps_den)
 
     def test_trace_holds_the_design_value(self):
         obj = null_objective(sigma_s_deg=0.3, samples=3, kappa=1)
