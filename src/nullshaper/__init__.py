@@ -2,11 +2,12 @@
 uncertainty.
 
 The package covers the full desk-scale pipeline: exact LEO viewing
-geometry on the WGS84 ellipsoid (`geodesy`), planar-array gain evaluation
-(`array`), probability-weighted null sample grids (`uncertainty`), the
-closed-form weight design (`optimizer`), and scenario-level Monte-Carlo
-robustness experiments (`simulation`). A small CLI (`nullshaper`) drives
-the experiment types and writes CSV/SVG artifacts.
+geometry on the World Geodetic System 1984 datum (`geodesy`), planar-array
+gain evaluation (`array`), probability-weighted null sample grids
+(`uncertainty`), the closed-form weight design (`optimizer`), and
+scenario-level Monte-Carlo robustness experiments (`simulation`). A small
+CLI (`nullshaper`) drives the experiment types and writes CSV/SVG
+artifacts.
 """
 
 from .array import (
@@ -19,11 +20,8 @@ from .array import (
     pattern_cut,
 )
 from .geodesy import (
-    WGS84,
     AerPosition,
     ConvergenceError,
-    EcefPosition,
-    EllipsoidParams,
     GeodeticPosition,
     RayMissError,
     angular_deviation_to_ground_distance,
@@ -31,7 +29,6 @@ from .geodesy import (
     geodetic_to_ecef,
     ground_footprint,
     ned_to_ecef_rotation,
-    prime_vertical_radius,
 )
 from .optimizer import (
     Objective,
@@ -69,14 +66,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # geodesy
-    "WGS84",
-    "EllipsoidParams",
     "GeodeticPosition",
     "AerPosition",
-    "EcefPosition",
     "ConvergenceError",
     "RayMissError",
-    "prime_vertical_radius",
     "geodetic_to_ecef",
     "ned_to_ecef_rotation",
     "ecef_to_geodetic",

@@ -340,27 +340,30 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
         raise _UsageError("--altitudes-km values must be > 0")
     deviations_deg = np.array(_grid_deg(args.deviation_max, args.deviation_step, "deviation"))
     azimuth, elevation = _expected_ray(scenario, args)
-    expected = AerPosition(azimuth, elevation, 1.0)
+    try:
+        expected = AerPosition(azimuth, elevation, 1.0)
+    except ValueError as exc:  # only a given elevation can be out of range
+        raise _UsageError(f"--expected-elevation-deg: {exc}") from exc
     swept = np.radians(deviations_deg)
     held = math.radians(args.fixed_deviation)
+    sats = [GeodeticPosition(scenario.satellite.longitude, scenario.satellite.latitude,
+                             alt_km * 1000.0) for alt_km in args.altitudes_km]
 
     files = {
         # held azimuth deviation, swept elevation deviation, and vice versa
         "arc_dtheta": (held, swept),
         "arc_dphi": (swept, held),
     }
+    # both tables are solved before either is written; NaN marks a ray that
+    # misses the planet, and a table with no hit at all is refused
+    tables = {}
     for stem, (d_az, d_el) in files.items():
-        zetas = []
-        series = {}
-        for alt_km in args.altitudes_km:
-            sat = GeodeticPosition(
-                scenario.satellite.longitude, scenario.satellite.latitude, alt_km * 1000.0
-            )
-            # one batch per altitude; NaN marks a ray that misses the planet
-            zeta_km = angular_deviation_to_ground_distance(sat, expected, d_az, d_el) / 1000.0
-            hit = ~np.isnan(zeta_km)
-            series[f"{alt_km:g} km"] = (deviations_deg[hit], zeta_km[hit])
-            zetas.append(zeta_km)
+        zetas = [angular_deviation_to_ground_distance(sat, expected, d_az, d_el) / 1000.0
+                 for sat in sats]
+        if np.isnan(zetas).all():
+            raise RayMissError(f"no look ray of the {stem} table reaches the Earth's surface")
+        tables[stem] = zetas
+    for stem, zetas in tables.items():
         zeta_km = np.concatenate(zetas)
         columns = (np.tile(deviations_deg, len(zetas)),
                    np.repeat(args.altitudes_km, deviations_deg.size),
@@ -371,6 +374,10 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
                        ("deviation_deg", "altitude_km", "zeta_km", "hit"), columns)
             print(f"wrote {path}")
         if args.format in ("svg", "both"):
+            series = {}
+            for alt_km, zeta in zip(args.altitudes_km, zetas):
+                hit = ~np.isnan(zeta)
+                series[f"{alt_km:g} km"] = (deviations_deg[hit], zeta[hit])
             path = out_dir / f"{stem}.svg"
             write_line_chart(path, series, "Ground distance vs pointing deviation",
                              "deviation [deg]", "distance [km]")

@@ -29,13 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .array import ArrayModel, Direction, WeightVector, _weight_values, gains
-from .geodesy import (
-    WGS84,
-    EllipsoidParams,
-    GeodeticPosition,
-    geodetic_to_ecef,
-    ned_to_ecef_rotation,
-)
+from .geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
 from .optimizer import EPS_DEN, Objective, OptimizationResult, optimize
 from .uncertainty import InterfererBelief, NullSampleGrid, build_grid
 
@@ -123,7 +117,6 @@ class Scenario:
     kappa: int = 1
     seed: int = 0
     link_budget: LinkBudget = field(default_factory=LinkBudget)
-    ellipsoid: EllipsoidParams = WGS84
 
     def __post_init__(self):
         if len(self.users) < 1:
@@ -151,12 +144,10 @@ class Scenario:
     def _as_direction(self, position) -> Direction:
         if isinstance(position, Direction):
             return position
-        return geodetic_to_direction(self.satellite, position, self.ellipsoid)
+        return geodetic_to_direction(self.satellite, position)
 
 
-def geodetic_to_direction(
-    sat: GeodeticPosition, target: GeodeticPosition, ell: EllipsoidParams = WGS84
-) -> Direction:
+def geodetic_to_direction(sat: GeodeticPosition, target: GeodeticPosition) -> Direction:
     """Direction of a ground target in the nadir-pointing array frame.
 
     The line of sight is resolved into NED at the satellite; the polar
@@ -165,9 +156,7 @@ def geodetic_to_direction(
     the target's local horizon (which also covers far-side targets whose
     line of sight would pass through the planet).
     """
-    sat_ecef = geodetic_to_ecef(sat, ell).as_array()
-    target_ecef = geodetic_to_ecef(target, ell).as_array()
-    line_of_sight = target_ecef - sat_ecef
+    line_of_sight = geodetic_to_ecef(target) - geodetic_to_ecef(sat)
     slant = np.linalg.norm(line_of_sight)
     if not slant > 0.0:
         raise VisibilityError("target coincides with the satellite")
@@ -396,6 +385,14 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _section(raw: dict, key: str) -> dict:
+    """The optional object ``raw[key]``, empty when absent."""
+    entry = raw.get(key, {})
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{key} must be a JSON object, got {entry!r}")
+    return entry
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a scenario from the plain-dict form used by scenario files.
 
@@ -428,9 +425,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
             )
             for j in raw["interferers"]
         )
-        shaping = raw.get("shaping", {})
+        shaping = _section(raw, "shaping")
         seed = _integer(raw.get("seed", 0), "seed")
-        budget_entry = raw.get("link_budget", {})
+        budget_entry = _section(raw, "link_budget")
         scenario = Scenario(
             satellite=satellite,
             array=array,
@@ -439,7 +436,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             samples_per_axis=_integer(shaping.get("L", 3), "shaping.L"),
             kappa=_integer(shaping.get("kappa", 1), "shaping.kappa"),
             seed=seed,
-            link_budget=LinkBudget(**budget_entry) if budget_entry else LinkBudget(),
+            link_budget=LinkBudget(**budget_entry),
         )
     except ScenarioError:
         raise

@@ -87,13 +87,6 @@ class NullSampleGrid:
         return cls(np.array([[theta, phi]]), np.array([1.0]))
 
 
-def _axis_samples(mean: float, sigma: float, count: int, kappa: int) -> np.ndarray:
-    if count == 1 or kappa == 0 or sigma == 0.0:
-        return np.full(count, mean)
-    # mean + symmetric offsets keeps the centre sample of an odd grid exact
-    return mean + np.linspace(-kappa * sigma, kappa * sigma, count)
-
-
 def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> NullSampleGrid:
     """Sample the belief on an endpoint-inclusive L x L grid over
     [mean - kappa sigma, mean + kappa sigma] per axis.
@@ -112,9 +105,15 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
         return NullSampleGrid.point(belief.mean_theta, belief.mean_phi)
 
     count = samples_per_axis
-    theta_samples = _axis_samples(belief.mean_theta, belief.sigma_theta, count, kappa)
-    phi_samples = _axis_samples(belief.mean_phi, belief.sigma_phi, count, kappa)
-    theta_grid, phi_grid = np.meshgrid(theta_samples, phi_samples, indexing="ij")
+    # mean + symmetric offsets keeps the centre sample of an odd grid exact,
+    # and every sample of a kappa = 0 or zero-sigma axis on the mean
+    theta_span = kappa * belief.sigma_theta
+    phi_span = kappa * belief.sigma_phi
+    theta_grid, phi_grid = np.meshgrid(
+        belief.mean_theta + np.linspace(-theta_span, theta_span, count),
+        belief.mean_phi + np.linspace(-phi_span, phi_span, count),
+        indexing="ij",
+    )
     directions = np.column_stack([theta_grid.ravel(), phi_grid.ravel()])
 
     weights = np.ones(count * count)

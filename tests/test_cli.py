@@ -58,6 +58,8 @@ class TestCommonBehaviour:
         # two --sigma-s values with one %g token would write one file twice
         ["sweep", "--sigma-s", "0.1,0.10000001"],
         ["sweep", "--sigma-s", "0,-0"],
+        # an elevation beyond +/-90 deg names no look ray
+        ["geodesy", "--expected-azimuth-deg", "0", "--expected-elevation-deg", "100"],
     ])
     def test_bad_numeric_flag_is_usage_error(self, argv, scenario_path, tmp_path, capsys):
         assert main(argv + ["--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
@@ -84,6 +86,9 @@ class TestCommonBehaviour:
         # more than MAX_ELEMENTS (1024) elements
         pytest.param(("array", "m"), 257, [], id="elements_over_cap"),
         pytest.param(("array",), {"m": 1000, "n": 1000}, [], id="array_1000x1000"),
+        # optional sections must be JSON objects when present
+        pytest.param(("shaping",), 3, [], id="shaping_not_object"),
+        pytest.param(("link_budget",), [], [], id="link_budget_not_object"),
     ])
     def test_out_of_range_value_is_validation_error(
         self, path, value, argv, scenario_path, tmp_path, capsys
@@ -346,6 +351,16 @@ class TestGeodesy:
         assert main(["geodesy", "--scenario", str(scenario_path),
                      "--out", str(tmp_path / "o"),
                      "--expected-azimuth-deg", "10.0"]) == 1
+
+    def test_table_without_a_hit_is_runtime_error_before_writing(
+        self, scenario_path, tmp_path, capsys
+    ):
+        # a ray 10 deg above the horizontal never reaches the ground
+        assert main(["geodesy", "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "o"), "--format", "both",
+                     "--expected-azimuth-deg", "0", "--expected-elevation-deg", "10"]) == 3
+        assert capsys.readouterr().err.startswith("runtime error: ")
+        assert not list((tmp_path / "o").iterdir())
 
 
 def reference_write_csv(path, seed, header, columns, footer_comments=()):

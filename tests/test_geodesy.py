@@ -1,16 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nullshaper import geodesy
 from nullshaper.geodesy import (
+    ECCENTRICITY_SQ,
     LATITUDE_MAX_ITER,
-    WGS84,
+    MEAN_RADIUS_M,
+    SEMI_MAJOR_M,
+    SEMI_MINOR_M,
     AerPosition,
     ConvergenceError,
-    EcefPosition,
     GeodeticPosition,
     RayMissError,
     _footprints_ecef,
@@ -39,10 +43,10 @@ GEODETIC_POINTS = st.lists(
 )
 
 
-def ecef_to_geodetic_closed_form(x, y, z, ell=WGS84):
+def ecef_to_geodetic_closed_form(x, y, z):
     """Independent reference inverse: exact algebraic (quartic) solution,
     no iteration shared with the production code."""
-    a, b, e2 = ell.semi_major, ell.semi_minor, ell.eccentricity_sq
+    a, b, e2 = SEMI_MAJOR_M, SEMI_MINOR_M, ECCENTRICITY_SQ
     ep2 = (a * a - b * b) / (b * b)
     p = math.hypot(x, y)
     big_f = 54.0 * b * b * z * z
@@ -85,12 +89,12 @@ class TestAerToNed:
     def test_depressed_ray_points_down(self):
         # straight down follows the ellipsoid normal, whatever the azimuth,
         # so the slant range to the footprint is the geodetic altitude
-        sat = geodetic_to_ecef(SAT).as_array()
+        sat = geodetic_to_ecef(SAT)
         for azimuth in (0.0, 1.0, 4.0):
             g = ground_footprint(SAT, azimuth, -math.pi / 2)
             assert g.longitude == pytest.approx(SAT.longitude, abs=1e-12)
             assert g.latitude == pytest.approx(SAT.latitude, abs=1e-12)
-            srange = np.linalg.norm(geodetic_to_ecef(g).as_array() - sat)
+            srange = np.linalg.norm(geodetic_to_ecef(g) - sat)
             assert srange == pytest.approx(SAT.altitude, abs=1e-6)
 
     def test_rejects_nonfinite(self):
@@ -102,10 +106,10 @@ class TestAerToNed:
 
 class TestPrimeVerticalRadius:
     def test_equator_is_semi_major(self):
-        assert prime_vertical_radius(0.0) == WGS84.semi_major == 6378137.0
+        assert prime_vertical_radius(0.0) == SEMI_MAJOR_M == 6378137.0
 
     def test_pole(self):
-        expected = WGS84.semi_major / math.sqrt(1.0 - WGS84.eccentricity_sq)
+        expected = SEMI_MAJOR_M / math.sqrt(1.0 - ECCENTRICITY_SQ)
         assert prime_vertical_radius(math.pi / 2) == pytest.approx(expected, rel=1e-15)
 
     def test_reference_value_at_southern_latitude(self):
@@ -118,20 +122,21 @@ class TestPrimeVerticalRadius:
 class TestGeodeticToEcef:
     def test_equator_prime_meridian(self):
         e = geodetic_to_ecef(GeodeticPosition(0.0, 0.0, 0.0))
-        assert (e.x, e.y, e.z) == pytest.approx((WGS84.semi_major, 0.0, 0.0), abs=1e-9)
+        assert e.shape == (3,)
+        assert tuple(e) == pytest.approx((SEMI_MAJOR_M, 0.0, 0.0), abs=1e-9)
 
     def test_east_quadrant_with_altitude(self):
-        e = geodetic_to_ecef(GeodeticPosition.from_degrees(90.0, 0.0, 1000.0))
-        assert e.x == pytest.approx(0.0, abs=1e-6)
-        assert e.y == pytest.approx(WGS84.semi_major + 1000.0)
-        assert e.z == pytest.approx(0.0, abs=1e-9)
+        x, y, z = geodetic_to_ecef(GeodeticPosition.from_degrees(90.0, 0.0, 1000.0))
+        assert x == pytest.approx(0.0, abs=1e-6)
+        assert y == pytest.approx(SEMI_MAJOR_M + 1000.0)
+        assert z == pytest.approx(0.0, abs=1e-9)
 
     def test_satellite_reference_values(self):
         # frozen from a 40-digit evaluation at (138.53 deg, -22.024 deg, 800 km)
-        e = geodetic_to_ecef(SAT)
-        assert e.x == pytest.approx(-4988190.187779477, abs=1e-4)
-        assert e.y == pytest.approx(4408523.863547695, abs=1e-4)
-        assert e.z == pytest.approx(-2676872.656768587, abs=1e-4)
+        x, y, z = geodetic_to_ecef(SAT)
+        assert x == pytest.approx(-4988190.187779477, abs=1e-4)
+        assert y == pytest.approx(4408523.863547695, abs=1e-4)
+        assert z == pytest.approx(-2676872.656768587, abs=1e-4)
 
 
 class TestNedRotation:
@@ -192,8 +197,8 @@ class TestEcefToGeodetic:
                 rng.uniform(0.0, 1.5e6),
             )
             e = geodetic_to_ecef(p)
-            g = ecef_to_geodetic(e)
-            lon_ref, lat_ref, alt_ref = ecef_to_geodetic_closed_form(e.x, e.y, e.z)
+            g = ecef_to_geodetic(*e)
+            lon_ref, lat_ref, alt_ref = ecef_to_geodetic_closed_form(*e)
             assert g.longitude == pytest.approx(lon_ref, abs=1e-9)
             assert g.latitude == pytest.approx(lat_ref, abs=1e-9)
             assert g.altitude == pytest.approx(alt_ref, abs=1e-5)
@@ -205,16 +210,18 @@ class TestEcefToGeodetic:
     def test_batch_matches_point_calls_bit_for_bit(self, points, max_iter):
         lon, lat, alt = np.array(points).T
         x, y, z = geodetic_to_ecef_arrays(lon, lat, alt)
-        batch = ecef_to_geodetic_arrays(x, y, z, max_iter=max_iter)
-        single = [ecef_to_geodetic_arrays(*xyz, max_iter=max_iter) for xyz in zip(x, y, z)]
+        with mock.patch.object(geodesy, "LATITUDE_MAX_ITER", max_iter):
+            batch = ecef_to_geodetic_arrays(x, y, z)
+            single = [ecef_to_geodetic_arrays(*xyz) for xyz in zip(x, y, z)]
         for k, column in enumerate(batch):  # lon, lat, alt, converged
             expected = np.array([result[k] for result in single], dtype=column.dtype)
             assert column.tobytes() == expected.tobytes()
 
-    def test_non_convergence_carries_last_iterate(self):
+    def test_non_convergence_carries_last_iterate(self, monkeypatch):
         e = geodetic_to_ecef(GeodeticPosition.from_degrees(10.0, 45.0, 1000.0))
+        monkeypatch.setattr(geodesy, "LATITUDE_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            ecef_to_geodetic(e, max_iter=1)
+            ecef_to_geodetic(*e)
         assert isinstance(err.value.last, GeodeticPosition)
         # one refinement already lands within a few metres of the truth
         assert err.value.last.latitude == pytest.approx(math.radians(45.0), abs=1e-4)
@@ -222,7 +229,7 @@ class TestEcefToGeodetic:
 
 class TestAerToGeodetic:
     """AER -> geodetic through ground_footprint, which solves the slant
-    range against the ellipsoid, so every target sits on the surface."""
+    range against the datum surface, so every target sits on it."""
 
     def test_nadir_hits_subsatellite_point_equatorial(self):
         sat = GeodeticPosition.from_degrees(10.0, 0.0, 800e3)
@@ -245,7 +252,7 @@ class TestAerToGeodetic:
                 SAT.longitude + rng.uniform(-0.05, 0.05),
                 SAT.latitude + rng.uniform(-0.05, 0.05),
             )
-            rel = geodetic_to_ecef(target).as_array() - geodetic_to_ecef(SAT).as_array()
+            rel = geodetic_to_ecef(target) - geodetic_to_ecef(SAT)
             ned = ned_to_ecef_rotation(SAT.longitude, SAT.latitude).T @ rel
             elevation = -math.asin(ned[2] / float(np.linalg.norm(ned)))
             g = ground_footprint(SAT, math.atan2(ned[0], ned[1]), elevation)
@@ -255,7 +262,7 @@ class TestAerToGeodetic:
 
     def test_off_nadir_against_closed_form_reference(self):
         azimuth, elevation = math.radians(40.0), math.radians(-65.0)
-        ecef = [float(c) for c in _footprints_ecef(SAT, azimuth, elevation, WGS84)]
+        ecef = [float(c) for c in _footprints_ecef(SAT, azimuth, elevation)]
         lon_ref, lat_ref, alt_ref = ecef_to_geodetic_closed_form(*ecef)
         g = ground_footprint(SAT, azimuth, elevation)
         assert g.longitude == pytest.approx(lon_ref, abs=1e-9)
@@ -266,8 +273,7 @@ class TestAerToGeodetic:
 class TestHaversine:
     @staticmethod
     def distance(p1, p2):
-        return float(_haversine_arrays(p1.longitude, p1.latitude, p2.longitude, p2.latitude,
-                                       WGS84.mean_radius))
+        return float(_haversine_arrays(p1.longitude, p1.latitude, p2.longitude, p2.latitude))
 
     def test_identical_points(self):
         p = GeodeticPosition.from_degrees(17.0, -33.0)
@@ -276,7 +282,7 @@ class TestHaversine:
     def test_antipodal_on_equator(self):
         a = GeodeticPosition.from_degrees(0.0, 0.0)
         b = GeodeticPosition.from_degrees(180.0, 0.0)
-        assert self.distance(a, b) == pytest.approx(math.pi * WGS84.mean_radius, rel=1e-12)
+        assert self.distance(a, b) == pytest.approx(math.pi * MEAN_RADIUS_M, rel=1e-12)
 
     def test_one_degree_arc(self):
         a = GeodeticPosition.from_degrees(0.0, 0.0)
@@ -392,4 +398,4 @@ class TestValueTypes:
 
     def test_ecef_rejects_inf(self):
         with pytest.raises(ValueError):
-            EcefPosition(math.inf, 0.0, 0.0)
+            ecef_to_geodetic(math.inf, 0.0, 0.0)

@@ -74,7 +74,7 @@ class TestGeodeticToDirection:
 
     def test_against_ned_decomposition(self):
         d = geodetic_to_direction(SAT, USER)
-        rel = geodetic_to_ecef(USER).as_array() - geodetic_to_ecef(SAT).as_array()
+        rel = geodetic_to_ecef(USER) - geodetic_to_ecef(SAT)
         ned = ned_to_ecef_rotation(SAT.longitude, SAT.latitude).T @ rel
         srange = np.linalg.norm(ned)
         assert d.theta == pytest.approx(math.acos(ned[2] / srange), rel=1e-12)
