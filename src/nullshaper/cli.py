@@ -176,15 +176,21 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         raise ScenarioError(str(exc)) from exc
 
 
+#: Slack on maximum / step before it is floored to whole steps: the
+#: quotient can land just below a whole number (0.6 / 0.2 is
+#: 2.9999999999999996), and such a grid should still reach its maximum.
+_STEPS_TOL = 1e-9
+
+
 def _grid_deg(maximum: float, step: float, what: str) -> list[float]:
-    """[0, step, 2 step, ...] up to ``maximum``, rounded to whole steps and
-    at most ``MAX_GRID_POINTS`` long."""
+    """[0, step, 2 step, ...] up to ``maximum`` and never past it, at most
+    ``MAX_GRID_POINTS`` long."""
     if not (maximum >= 0 and step > 0):
         raise _UsageError(f"{what} grid must have max >= 0 and step > 0")
-    steps = maximum / step
-    if steps > MAX_GRID_POINTS - 1:
+    steps = maximum / step + _STEPS_TOL
+    if steps >= MAX_GRID_POINTS:
         raise _UsageError(f"{what} grid would have more than {MAX_GRID_POINTS} points")
-    return [i * step for i in range(int(round(steps)) + 1)]
+    return [i * step for i in range(math.floor(steps) + 1)]
 
 
 def _cmd_pattern(scenario: Scenario, args, out_dir: Path) -> int:

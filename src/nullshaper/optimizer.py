@@ -13,7 +13,11 @@ usually fewer than the elements, so it is diagonally loaded first: the
 design is the loaded-covariance beamformer of Cox, Zeskind & Owen
 ("Robust adaptive beamforming", IEEE T-ASSP 1987) and Carlson
 ("Covariance matrix estimation errors and diagonal loading", IEEE T-AES
-1988). One user gives the familiar ``(B + delta I)^-1 a^H``; without
+1988). A = U^H U / K has rank K, the number of users, so the eigenvector
+lies in the span of (B + delta I)^-1 U^H: with c the top eigenvector of
+the K x K form U (B + delta I)^-1 U^H, the design is
+``(B + delta I)^-1 U^H c`` (Van Trees, *Optimum Array Processing*, 2002,
+sec. 6.2). One user gives the familiar ``(B + delta I)^-1 a^H``; without
 interferers B is the identity and the result is the matched beam.
 
 The objective keeps the few user steering rows but only the directions
@@ -164,16 +168,15 @@ class OptimizationResult:
 def optimize(obj: Objective) -> OptimizationResult:
     """Weights maximising w^H A w / w^H (B + delta I) w, at unit norm.
 
-    B + delta I = L L^H is Cholesky-factored, the top eigenvector v of
-    the whitened user form L^-1 A L^-H is found with ``eigh``, and
-    w = L^-H v. B is added up over blocks of about ``array._BLOCK_BYTES``
-    of grid steering, so no whole grid steering matrix is built, and the
-    design is scored with one more blocked pass over the grid.
-    Deterministic.
+    With U the (K, size) user steering rows, one linear solve gives
+    X = (B + delta I)^-1 U^H, ``eigh`` finds the top eigenvector c of the
+    K x K form U X, and w = X c. B is added up over blocks of about
+    ``array._BLOCK_BYTES`` of grid steering, so no whole grid steering
+    matrix is built, and the design is scored with one more blocked pass
+    over the grid. Deterministic.
     """
     size = obj.array.size
     users = obj._user_steering
-    user_form = users.conj().T @ users / obj.user_count
     if obj._grid_directions is None:
         interferer_form = np.eye(size, dtype=complex)
     else:
@@ -184,11 +187,9 @@ def optimize(obj: Objective) -> OptimizationResult:
             interferer_form += (grid.conj().T * weights[block]) @ grid
     loading = LOADING * float(np.trace(interferer_form).real) / size
     interferer_form[np.diag_indices(size)] += loading
-    chol = np.linalg.cholesky(interferer_form)
-    half = np.linalg.solve(chol, user_form)
-    whitened = np.linalg.solve(chol, half.conj().T)
-    _, vectors = np.linalg.eigh(whitened)
-    best = np.linalg.solve(chol.conj().T, vectors[:, -1])
+    solved = np.linalg.solve(interferer_form, users.conj().T)
+    _, vectors = np.linalg.eigh(users @ solved)
+    best = solved @ vectors[:, -1]
     weights = WeightVector(best / np.linalg.norm(best))
 
     numerator, denominator = obj._terms(weights)

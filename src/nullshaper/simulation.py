@@ -214,17 +214,17 @@ class SweepResult:
             raise ValueError("sigma_i grid must be sorted")
 
 
-def _psi_db(user_gain: float, interferer_gains: np.ndarray) -> np.ndarray:
-    """Per-trial effectiveness in dB from (trials, J) point-interferer gains."""
-    psi = user_gain / np.maximum(np.mean(interferer_gains, axis=1), EPS_DEN)
+def _psi_db(user_gain, interferer_gains: np.ndarray) -> np.ndarray:
+    """Per-trial effectiveness in dB from (..., J) point-interferer gains;
+    ``user_gain`` broadcasts against the leading axes."""
+    psi = user_gain / np.maximum(np.mean(interferer_gains, axis=-1), EPS_DEN)
     return 10.0 * np.log10(np.maximum(psi, 1e-300))
 
 
-def _capacity_bits(
-    user_gain: float, interferer_gains: np.ndarray, budget: LinkBudget
-) -> np.ndarray:
-    """Per-trial log2(1 + SINR) from (trials, J) point-interferer gains."""
-    interference = budget.interferer_power * interferer_gains.sum(axis=1)
+def _capacity_bits(user_gain, interferer_gains: np.ndarray, budget: LinkBudget) -> np.ndarray:
+    """Per-trial log2(1 + SINR) from (..., J) point-interferer gains;
+    ``user_gain`` broadcasts against the leading axes."""
+    interference = budget.interferer_power * interferer_gains.sum(axis=-1)
     sinr = user_gain * budget.user_power / (interference + budget.noise_power)
     return np.log2(1.0 + sinr)
 
@@ -245,10 +245,13 @@ def monte_carlo_sweeps(
     a row does not depend on the grid around it and designs differ only by
     their weights. Per sigma_i point one ``array.gains`` call scores every
     weight row on the trials x J realised directions, steered in bounded
-    blocks, so memory does not grow with ``trials``. Its rounding depends
-    on neither the blocking nor the number of rows, so a realised point
-    reproduces the single-point-grid objective value bit for bit. The
-    link budget is the scenario's.
+    blocks, and one pass of reductions turns those gains into every
+    design's rows. Its rounding depends on neither the blocking nor the
+    number of rows, so a realised point reproduces the single-point-grid
+    objective value bit for bit, and a design's rows do not depend on the
+    designs swept with it. Memory grows with ``trials`` times designs times
+    J, a few doubles each, not with the steering. The link budget is the
+    scenario's.
 
     Returns one ``(psi, capacity)`` pair per weight row: psi rows in dB,
     capacity rows in bits/s/Hz, or None when the scenario does not serve
@@ -263,7 +266,7 @@ def monte_carlo_sweeps(
 
     rows = np.array([_weight_values(w, sc.array.size) for w in weights]).reshape(-1, sc.array.size)
     users = Objective(sc.array, sc.user_directions())
-    user_gains = [users.user_gain_mean(row) for row in rows]
+    user_gains = np.array([[users.user_gain_mean(row)] for row in rows])
     with_capacity = users.user_count == 1
     means = np.array([[d.theta, d.phi] for d in sc.interferer_directions()])
     z = np.random.default_rng(seed).standard_normal((trials, means.shape[0], 2))
@@ -274,13 +277,14 @@ def monte_carlo_sweeps(
     for point, sigma_i in enumerate(sigma_list):
         flat = (means + sigma_i * z).reshape(-1, 2)
         power = gains(sc.array, rows, flat[:, 0], flat[:, 1])
-        for design, user_gain in enumerate(user_gains):
-            interferer_gains = power[:, design].reshape(trials, -1)
-            per_trial = _psi_db(user_gain, interferer_gains)
-            psi_mean[design, point], psi_std[design, point] = per_trial.mean(), per_trial.std()
-            if with_capacity:
-                per_trial = _capacity_bits(user_gain, interferer_gains, sc.link_budget)
-                cap_mean[design, point], cap_std[design, point] = per_trial.mean(), per_trial.std()
+        # (designs, trials, J), contiguous, so each design's trials reduce
+        # as one contiguous row, rounding as a single-design sweep does
+        interferer_gains = np.ascontiguousarray(power.T).reshape(len(rows), trials, -1)
+        per_trial = _psi_db(user_gains, interferer_gains)
+        psi_mean[:, point], psi_std[:, point] = per_trial.mean(axis=1), per_trial.std(axis=1)
+        if with_capacity:
+            per_trial = _capacity_bits(user_gains, interferer_gains, sc.link_budget)
+            cap_mean[:, point], cap_std[:, point] = per_trial.mean(axis=1), per_trial.std(axis=1)
 
     sigma_i_deg = tuple(math.degrees(s) for s in sigma_list)
 

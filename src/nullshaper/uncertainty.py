@@ -93,9 +93,12 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
 
     Weights are the raw density values at the sample directions. Degenerate
     cases collapse instead of erroring: a point-mass belief (both sigmas
-    zero) or L = 1 yields a single sample of weight one, and kappa = 0 or a
-    zero sigma collapses the affected axis onto the mean (the collapsed
-    axis contributing no density factor).
+    zero) or L = 1 yields a single sample of weight one. A zero sigma puts
+    every sample of its axis on the mean and contributes no density
+    factor. kappa = 0 also puts every sample on the mean, but each axis
+    with sigma > 0 still contributes its peak density 1/(sqrt(2 pi) sigma):
+    with both sigmas positive the grid holds L^2 copies of the mean
+    direction, each weighted 1/(2 pi sigma_theta sigma_phi).
     """
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")

@@ -229,6 +229,14 @@ class TestSweep:
         assert [r[0] for r in rows] == ["0.0", "0.2", "0.4", "0.6000000000000001"]
         assert all(r[3] == "60" for r in rows)
 
+    def test_sigma_i_grid_stops_at_its_maximum(self, scenario_path, tmp_path):
+        # 0.38 / 0.1 rounds to 4 steps; the grid must end at 0.3, not 0.4
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                     "--trials", "5", "--sigma-i-max", "0.38", "--sigma-i-step", "0.1"]) == 0
+        rows = [line.split(",") for line in read_lines(out / "sweep_sigmas_0.3.csv")[2:]]
+        assert [r[0] for r in rows] == ["0.0", "0.1", "0.2", "0.30000000000000004"]
+
     def test_negative_zero_sigma_s_is_the_zero_design(self, scenario_path, tmp_path):
         outputs = {}
         for token in ("-0", "0"):
@@ -329,6 +337,16 @@ class TestGeodesy:
             zetas = [float(r[2]) for r in zero_rows]
             assert zetas == sorted(zetas)
             assert zetas[0] > 0.0
+
+    def test_deviation_grid_stops_at_its_maximum(self, scenario_path, tmp_path):
+        # 0.18 / 0.1 rounds to 2 steps; the table must end at 0.1, not 0.2
+        out = tmp_path / "out"
+        assert main(["geodesy", "--scenario", str(scenario_path), "--out", str(out),
+                     "--altitudes-km", "800",
+                     "--deviation-max", "0.18", "--deviation-step", "0.1"]) == 0
+        for stem in ("arc_dtheta", "arc_dphi"):
+            rows = [line.split(",") for line in read_lines(out / f"{stem}.csv")[2:]]
+            assert [r[0] for r in rows] == ["0.0", "0.1"]
 
     def test_ray_miss_marked_not_dropped(self, scenario_path, tmp_path):
         out = tmp_path / "out"

@@ -132,7 +132,7 @@ class TestOptimize:
         assert 10.0 * math.log10(user_gain / max(interferer_gain, 1e-30)) >= 40.0
 
     def test_repeat_solve_is_bit_identical(self):
-        # the design is one Cholesky and eigh solve, with no random draws
+        # the design is one linear solve and one eigh, with no random draws
         obj = null_objective(sigma_s_deg=0.5, samples=3, kappa=1)
         first = optimize(obj)
         second = optimize(obj)
@@ -203,10 +203,9 @@ def loaded_ratio(obj, w, loading):
     return user_gain / (interferer_gain + loading * norm_sq)
 
 
-def reference_design(obj, loading):
-    """Unit-norm top generalized eigenvector of (A, B + loading I), found
-    through the K x K reduction U (B + loading I)^-1 U^H, which shares the
-    nonzero spectrum of (B + loading I)^-1 A for A = U^H U / K."""
+def users_and_loaded_form(obj, loading):
+    """The (K, N) user steering rows U and the dense B + loading I, summed
+    direction by direction; B is the identity without interferers."""
     arr = obj.array
     users = np.array([arr.steering(d.theta, d.phi) for d in obj.user_directions])
     loaded = loading * np.eye(arr.size, dtype=complex)
@@ -217,6 +216,14 @@ def reference_design(obj, loading):
                 loaded += p * np.outer(s.conj(), s) / obj.interferer_count
     else:
         loaded += np.eye(arr.size)
+    return users, loaded
+
+
+def reference_design(obj, loading):
+    """Unit-norm top generalized eigenvector of (A, B + loading I), found
+    through the K x K reduction U (B + loading I)^-1 U^H, which shares the
+    nonzero spectrum of (B + loading I)^-1 A for A = U^H U / K."""
+    users, loaded = users_and_loaded_form(obj, loading)
     solved = np.linalg.solve(loaded, users.conj().T)
     reduced = users @ solved / obj.user_count
     _, vectors = np.linalg.eigh(0.5 * (reduced + reduced.conj().T))
@@ -288,6 +295,37 @@ class TestClosedForm:
         assert loaded_ratio(obj, result.weights.values, result.loading) == pytest.approx(
             top, rel=1e-9
         )
+
+
+@st.composite
+def objectives_with_repeated_user(draw):
+    """Three or four users, the last repeating an earlier direction, so the
+    K x K user form is singular."""
+    obj = draw(objectives(users=st.integers(2, 3)))
+    users = obj.user_directions
+    repeated = users[draw(st.integers(0, len(users) - 1))]
+    return Objective(obj.array, users + (repeated,), obj.interferer_grids)
+
+
+class TestAgainstDenseReference:
+    @PROPERTY
+    @given(objectives_with_repeated_user())
+    def test_design_reaches_top_eigenvalue_of_dense_pencil(self, obj):
+        # an N x N general eigen-solve of (B + delta I)^-1 A, independent of
+        # the K x K reduction that optimize and reference_design share. Both
+        # sides run at 30 digits: once the design nulls the whole grid its
+        # denominator is about delta, and at LOADING = 1e-8 float64 rounding
+        # alone moves either side by up to about 1e-8 relative
+        mp = pytest.importorskip("mpmath")
+        result = optimize(obj)
+        users, loaded = users_and_loaded_form(obj, result.loading)
+        user_form = users.conj().T @ users / obj.user_count
+        with mp.workdps(30):
+            a, b = mp.matrix(user_form.tolist()), mp.matrix(loaded.tolist())
+            top = max(mp.re(e) for e in mp.eig(mp.inverse(b) * a, left=False, right=False))
+            w = mp.matrix(result.weights.values.tolist())
+            ratio = mp.re((w.H * a * w)[0]) / mp.re((w.H * b * w)[0])
+        assert float(ratio) == pytest.approx(float(top), rel=1e-9)
 
 
 class TestConfigValidation:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import nullshaper.array
-from nullshaper.array import ArrayModel, Direction, WeightVector, gain
+from nullshaper.array import ArrayModel, Direction, WeightVector, gain, gains
 from nullshaper.geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
-from nullshaper.optimizer import Objective, mitigation_effectiveness, optimize
+from nullshaper.optimizer import EPS_DEN, Objective, mitigation_effectiveness, optimize
 from nullshaper.simulation import (
     InterfererSite,
     LinkBudget,
@@ -183,6 +183,30 @@ class TestMonteCarloSweep:
         for w, (psi, cap) in zip(weights, pairs):
             assert psi == monte_carlo_sweep(sc, w, grid, trials=40, seed=12)
             assert cap == monte_carlo_sweep(sc, w, grid, trials=40, seed=12, metric="capacity")
+
+    def test_three_designs_three_interferers_match_per_design_scoring(self):
+        extra = (InterfererSite(GeodeticPosition.from_degrees(140.0, -20.5)),
+                 InterfererSite(GeodeticPosition.from_degrees(137.5, -23.0)))
+        sc = replace(make_scenario(), interferers=make_scenario().interferers + extra)
+        weights = [design_weights(sc.with_sigma_s(math.radians(s))).weights for s in (0.0, 0.3)]
+        weights.append(WeightVector.uniform(64))
+        grid = [0.0, math.radians(0.2), math.radians(0.6)]
+        for trials in (1, 40):
+            pairs = monte_carlo_sweeps(sc, weights, grid, trials=trials, seed=15)
+            for w, (psi, cap) in zip(weights, pairs):
+                assert psi == monte_carlo_sweep(sc, w, grid, trials=trials, seed=15)
+                assert cap == monte_carlo_sweep(sc, w, grid, trials=trials, seed=15,
+                                                metric="capacity")
+                # one design alone: its (trials, J) gains, reduced trial by trial
+                user_gain = Objective(sc.array, sc.user_directions()).user_gain_mean(w)
+                for point, sigma in enumerate(grid):
+                    realised = realised_directions(sc, sigma, trials, 15).reshape(-1, 2)
+                    power = gains(sc.array, w, realised[:, 0], realised[:, 1]).reshape(trials, 3)
+                    per_trial = 10.0 * np.log10(user_gain / np.maximum(power.mean(axis=1), EPS_DEN))
+                    assert (psi.mean_db[point], psi.std_db[point]) == (
+                        per_trial.mean(), per_trial.std())
+                    if trials == 1:
+                        assert cap.mean_db[point] == capacity(sc, w, realised)
 
     def test_row_independent_of_surrounding_grid(self):
         sc = make_scenario()
