@@ -91,9 +91,12 @@ class ArrayModel:
         """Steering phasors exp(-i k . r) for one or many directions.
 
         Scalars give a (size,) vector; arrays of P directions give (P, size).
-        The phasor separates into a row factor and a column factor, so each
-        direction takes m + n complex exponentials, multiplied out in ravel
-        order.
+        The phasor is the Kronecker product of a row and a column Vandermonde
+        vector, so each direction takes one complex exponential per axis,
+        z = exp(-i k d u) with d the axis spacing and u the direction cosine
+        along it; ``_powers`` raises z to the element indices, and the two
+        factors are multiplied out in ravel order. Every phasor depends on
+        its own direction only, not on P.
         """
         theta_arr = np.asarray(theta, dtype=float)
         phi_arr = np.asarray(phi, dtype=float)
@@ -101,10 +104,24 @@ class ArrayModel:
         theta_arr, phi_arr = np.atleast_1d(theta_arr), np.atleast_1d(phi_arr)
         sin_theta = np.sin(theta_arr)
         minus_ik = -2j * np.pi / self.wavelength
-        rows = np.exp(minus_ik * np.outer(sin_theta * np.cos(phi_arr), np.arange(self.m) * self.dx))
-        cols = np.exp(minus_ik * np.outer(sin_theta * np.sin(phi_arr), np.arange(self.n) * self.dy))
+        rows = _powers(np.exp(minus_ik * self.dx * (sin_theta * np.cos(phi_arr))), self.m)
+        cols = _powers(np.exp(minus_ik * self.dy * (sin_theta * np.sin(phi_arr))), self.n)
         phasors = (rows[:, :, None] * cols[:, None, :]).reshape(rows.shape[0], self.size)
         return phasors[0] if scalar else phasors
+
+
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """(P, count) powers z^0 .. z^(count-1) of P phasors, by doubling: the
+    block z^k .. z^(2k-1) is z^0 .. z^(k-1) times z^k, and z^k is then
+    squared, so ceil(log2(count)) multiplies build every power, each a
+    product of at most that many factors."""
+    out = np.empty((z.size, count), dtype=complex)
+    out[:, 0] = 1.0
+    step, k = z[:, None], 1
+    while k < count:
+        out[:, k : 2 * k] = out[:, : min(k, count - k)] * step
+        step, k = step * step, 2 * k
+    return out
 
 
 @dataclass(frozen=True)
@@ -185,10 +202,11 @@ def _direction_blocks(count: int, size: int):
 
 def _power(steering: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|s . w|^2 for (D, size) steering and (S, size) weight rows: (D, S).
-    One einsum, whose rounding of an entry depends on neither D nor S; a
-    BLAS product picks its kernel by shape, and null depths are
-    cancellation-limited."""
-    return np.abs(np.einsum("dn,sn->ds", steering, rows)) ** 2
+    Each entry is one dot product over its own contiguous steering and
+    weight row, whose rounding depends on neither D nor S, then re^2 + im^2;
+    null depths are cancellation-limited."""
+    response = np.vecdot(rows.conj()[None], steering[:, None])
+    return response.real**2 + response.imag**2
 
 
 def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:

@@ -246,8 +246,11 @@ def monte_carlo_sweeps(
     their weights. Per sigma_i point one ``array.gains`` call scores every
     weight row on the trials x J realised directions, steered in bounded
     blocks, and one pass of reductions turns those gains into every
-    design's rows. Its rounding depends on neither the blocking nor the
-    number of rows, so a realised point reproduces the single-point-grid
+    design's rows. At sigma_i = 0 every trial realises the J means, so only
+    those are steered and their gains are tiled over the trials; a gain
+    depends on its direction alone, so the rows equal the general path's.
+    The rounding of a gain depends on neither the blocking nor the number
+    of rows, so a realised point reproduces the single-point-grid
     objective value bit for bit, and a design's rows do not depend on the
     designs swept with it. Memory grows with ``trials`` times designs times
     J, a few doubles each, not with the steering. The link budget is the
@@ -275,8 +278,12 @@ def monte_carlo_sweeps(
     psi_mean, psi_std = np.empty(shape), np.empty(shape)
     cap_mean, cap_std = np.empty(shape), np.empty(shape)
     for point, sigma_i in enumerate(sigma_list):
-        flat = (means + sigma_i * z).reshape(-1, 2)
-        power = gains(sc.array, rows, flat[:, 0], flat[:, 1])
+        if sigma_i == 0.0:
+            # every trial realises the means: steer J directions, not trials x J
+            power = np.tile(gains(sc.array, rows, means[:, 0], means[:, 1]), (trials, 1))
+        else:
+            flat = (means + sigma_i * z).reshape(-1, 2)
+            power = gains(sc.array, rows, flat[:, 0], flat[:, 1])
         # (designs, trials, J), contiguous, so each design's trials reduce
         # as one contiguous row, rounding as a single-design sweep does
         interferer_gains = np.ascontiguousarray(power.T).reshape(len(rows), trials, -1)

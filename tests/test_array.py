@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nullshaper.array
@@ -128,6 +128,36 @@ class TestBlockedGains:
         ).reshape(count, rows)
         assert batch.shape == (count, rows)
         assert np.array_equal(batch, singles.T)
+        assert np.array_equal(batch, alone)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 32),
+        n=st.integers(1, 32),
+        rows=st.integers(1, 3),
+        count=st.integers(1, 9),
+        block_rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=1024, n=1, rows=2, count=5, block_rows=2, seed=0)
+    @example(m=1, n=1023, rows=3, count=7, block_rows=3, seed=1)
+    @example(m=31, n=33, rows=1, count=4, block_rows=1, seed=2)
+    def test_wide_arrays_score_entry_by_entry_bit_for_bit(
+        self, m, n, rows, count, block_rows, seed
+    ):
+        # sizes up to 1024 and off multiples of 8, where dot kernels switch
+        # between vector and tail paths
+        arr = ArrayModel(m, n, 0.45 * WL, 0.6 * WL, WL)
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_unit_weights(rng, arr.size).values for _ in range(rows)])
+        theta = rng.uniform(0.0, math.pi / 2, count)
+        phi = rng.uniform(0.0, 2 * math.pi, count)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nullshaper.array, "_BLOCK_BYTES", block_rows * 16 * arr.size)
+            batch = gains(arr, stack, theta, phi)
+        alone = np.array(
+            [[gains(arr, row, t, p) for row in stack] for t, p in zip(theta, phi)]
+        ).reshape(count, rows)
         assert np.array_equal(batch, alone)
 
     def test_gain_is_the_matching_batch_entry(self):
@@ -343,6 +373,34 @@ class TestArrayModel:
             ]
             np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(arr.steering(theta, phi), expected, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        geometry=st.one_of(
+            st.tuples(
+                st.integers(1, 32), st.integers(1, 32), st.floats(0.1, 0.7), st.floats(0.1, 0.7)
+            ),
+            st.just((1024, 1, 0.5, 0.5)),
+        ),
+        theta=st.floats(0.0, math.pi / 2),
+        phi=st.floats(0.0, 2 * math.pi),
+    )
+    @example(geometry=(1024, 1, 0.5, 0.5), theta=math.pi / 2, phi=0.0)
+    @example(geometry=(17, 31, 0.7, 0.7), theta=1.3, phi=0.8)
+    def test_steering_matches_exact_double_sum(self, geometry, theta, phi):
+        # each phasor is a product of powers of one exponential per axis; the
+        # exact sum starts from the same float64 direction cosines and
+        # constants (pi included), so what is left is the kernel's rounding
+        mp = pytest.importorskip("mpmath")
+        m, n, dx_over_wl, dy_over_wl = geometry
+        arr = ArrayModel(m, n, dx_over_wl * WL, dy_over_wl * WL, WL)
+        u = float(np.sin(theta) * np.cos(phi))
+        v = float(np.sin(theta) * np.sin(phi))
+        with mp.workdps(30):
+            minus_k = -2 * mp.mpf(math.pi) / mp.mpf(WL)
+            x, y = mp.mpf(u) * mp.mpf(arr.dx), mp.mpf(v) * mp.mpf(arr.dy)
+            expected = [complex(mp.expj(minus_k * (i * x + j * y))) for i in range(m) for j in range(n)]
+        np.testing.assert_allclose(arr.steering(theta, phi), expected, rtol=1e-12, atol=0.0)
 
     def test_steering_batch_matches_scalar(self):
         arr = ArrayModel.half_wavelength(3, 4, WL)

@@ -228,6 +228,21 @@ class TestMonteCarloSweep:
         monkeypatch.setattr(nullshaper.array, "_BLOCK_BYTES", 1)
         assert monte_carlo_sweeps(sc, weights, grid, trials=37, seed=14) == default
 
+    def test_zero_sigma_point_steers_only_the_means(self, monkeypatch):
+        second = InterfererSite(position=GeodeticPosition.from_degrees(140.0, -20.5))
+        sc = replace(make_scenario(), interferers=make_scenario().interferers + (second,))
+        steer = ArrayModel.steering
+        steered = []
+
+        def counting_steer(arr, theta, phi):
+            phasors = steer(arr, theta, phi)
+            steered.append(1 if phasors.ndim == 1 else phasors.shape[0])
+            return phasors
+
+        monkeypatch.setattr(ArrayModel, "steering", counting_steer)
+        monte_carlo_sweeps(sc, [WeightVector.uniform(64)], [0.0], trials=500)
+        assert 0 < sum(steered) <= len(sc.users) + len(sc.interferers)
+
     def test_capacity_none_for_several_users(self):
         sc = replace(make_scenario(), users=(USER, GeodeticPosition.from_degrees(137.0, -21.0)))
         [(psi, cap)] = monte_carlo_sweeps(sc, [WeightVector.uniform(64)], [0.0], trials=2)
