@@ -7,6 +7,12 @@ Four subcommands drive the library against a JSON scenario file:
 * ``sweep``     - design per shaping value and run robustness sweeps
 * ``geodesy``   - pointing-error to ground-distance tables over altitude
 
+Each subcommand takes only the flags it reads. All four take ``--scenario``,
+``--out`` and ``--seed``; ``pattern``, ``optimize`` and ``sweep`` take the
+shaping overrides ``--kappa`` and ``--L``; ``pattern``, ``sweep`` and
+``geodesy`` take ``--format csv|svg|both``, which ``_emit`` alone reads.
+``optimize`` writes CSV only.
+
 Every CSV starts with a comment line recording the tool version and seed,
 then a header row. Outputs are deterministic for a fixed scenario and
 seed, so re-running a command overwrites files with identical bytes.
@@ -18,6 +24,7 @@ Exit codes: 0 success, 1 usage error, 2 scenario validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -91,6 +98,20 @@ def _write_csv(path: Path, seed: int, header, columns, footer_comments=()) -> No
     path.write_text("\n".join(lines) + "\n")
 
 
+def _emit(args, out_dir: Path, stem: str, seed: int, csv=None, svg=None) -> None:
+    """Write ``stem.csv`` from the ``_write_csv`` arguments after the seed and
+    ``stem.svg`` from the ``write_line_chart`` arguments after the path, each
+    when given and asked for by ``--format``; print ``wrote <path>`` per file."""
+    if csv is not None and args.format in ("csv", "both"):
+        path = out_dir / f"{stem}.csv"
+        _write_csv(path, seed, *csv)
+        print(f"wrote {path}")
+    if svg is not None and args.format in ("svg", "both"):
+        path = out_dir / f"{stem}.svg"
+        write_line_chart(path, *svg)
+        print(f"wrote {path}")
+
+
 def _sigma_value_token(value_deg: float) -> str:
     return f"{value_deg:g}"
 
@@ -111,33 +132,37 @@ def _finite_list(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused after it."""
     parser = _Parser(prog="nullshaper", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"nullshaper {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out", required=True, help="output directory (created on demand)")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--kappa", type=int, default=None, help="override shaping kappa")
-        p.add_argument("--L", dest="samples_per_axis", type=int, default=None,
-                       help="override shaping samples per axis")
-        p.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
+    common = _Parser(add_help=False)
+    common.add_argument("--scenario", required=True, help="scenario JSON file")
+    common.add_argument("--out", required=True, help="output directory (created on demand)")
+    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    shaping = _Parser(add_help=False)
+    shaping.add_argument("--kappa", type=int, default=None, help="override shaping kappa")
+    shaping.add_argument("--L", dest="samples_per_axis", type=int, default=None,
+                         help="override shaping samples per axis")
+    charts = _Parser(add_help=False)
+    charts.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
 
-    pattern = sub.add_parser("pattern", help="export a gain pattern cut")
-    add_common(pattern)
+    pattern = sub.add_parser("pattern", parents=[common, shaping, charts],
+                             help="export a gain pattern cut")
     pattern.add_argument("--phi-cut", type=_finite, default=0.0,
                          help="azimuth of the cut plane in degrees (default 0)")
     pattern.add_argument("--samples", type=int, default=3601)
     pattern.add_argument("--uniform", action="store_true",
                          help="skip optimisation and use uniform weights")
 
-    optimize_cmd = sub.add_parser("optimize", help="design weights and export them")
-    add_common(optimize_cmd)
+    sub.add_parser("optimize", parents=[common, shaping],
+                   help="design weights and export them (CSV only)")
 
-    sweep = sub.add_parser("sweep", help="robustness sweep over interferer error")
-    add_common(sweep)
+    sweep = sub.add_parser("sweep", parents=[common, shaping, charts],
+                           help="robustness sweep over interferer error")
     sweep.add_argument("--trials", type=int, default=1000,
                        help="Monte-Carlo trials per sigma_i point (default 1000)")
     sweep.add_argument("--sigma-s", type=_finite_list, default=None,
@@ -149,8 +174,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--capacity", action="store_true",
                        help="also sweep single-user Shannon capacity")
 
-    geodesy = sub.add_parser("geodesy", help="pointing error vs ground distance tables")
-    add_common(geodesy)
+    geodesy = sub.add_parser("geodesy", parents=[common, charts],
+                             help="pointing error vs ground distance tables")
     geodesy.add_argument("--altitudes-km", type=_finite_list, default="400,600,800,1000,1200",
                          help="comma list of satellite altitudes in km")
     geodesy.add_argument("--deviation-max", type=_finite, default=1.0,
@@ -167,9 +192,10 @@ def _build_parser() -> _Parser:
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     """The scenario with the --seed, --kappa and --L flags that were given,
-    validated by the scenario itself."""
+    validated by the scenario itself. A flag the subcommand lacks reads as None."""
     names = ("seed", "kappa", "samples_per_axis")
-    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    given = vars(args)
+    overrides = {name: given[name] for name in names if given.get(name) is not None}
     try:
         return replace(scenario, **overrides)
     except ValueError as exc:
@@ -194,32 +220,22 @@ def _grid_deg(maximum: float, step: float, what: str) -> list[float]:
 
 
 def _cmd_pattern(scenario: Scenario, args, out_dir: Path) -> int:
+    # + 0.0 folds -0 into 0 for the cut, its file name and its chart title
+    phi_cut_deg = args.phi_cut + 0.0
     if not 2 <= args.samples <= MAX_GRID_POINTS:
         raise _UsageError(f"--samples must be between 2 and {MAX_GRID_POINTS}")
     if args.uniform:
         weights = WeightVector.uniform(scenario.array.size)
     else:
         weights = design_weights(scenario).weights
-    phi_rad = math.radians(args.phi_cut)
     angles, levels = pattern_cut(
-        scenario.array, weights, phi_cut=phi_rad, samples=args.samples
+        scenario.array, weights, phi_cut=math.radians(phi_cut_deg), samples=args.samples
     )
-    token = _sigma_value_token(args.phi_cut)
-    csv_path = out_dir / f"pattern_phi{token}.csv"
     angles_deg = np.degrees(angles)
-    if args.format in ("csv", "both"):
-        _write_csv(csv_path, scenario.seed, ("angle_deg", "gain_db"), (angles_deg, levels))
-        print(f"wrote {csv_path}")
-    if args.format in ("svg", "both"):
-        svg_path = out_dir / f"pattern_phi{token}.svg"
-        write_line_chart(
-            svg_path,
-            {"gain": (angles_deg, levels)},
-            f"Gain cut at azimuth {args.phi_cut:g} deg",
-            "polar angle [deg]",
-            "gain [dB]",
-        )
-        print(f"wrote {svg_path}")
+    _emit(args, out_dir, f"pattern_phi{_sigma_value_token(phi_cut_deg)}", scenario.seed,
+          csv=(("angle_deg", "gain_db"), (angles_deg, levels)),
+          svg=({"gain": (angles_deg, levels)}, f"Gain cut at azimuth {phi_cut_deg:g} deg",
+               "polar angle [deg]", "gain [dB]"))
     return _EXIT_OK
 
 
@@ -278,16 +294,12 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
                else [scenario])
     weights = [design_weights(design).weights for design in designs]
     results = monte_carlo_sweeps(scenario, weights, sigma_i_rad, trials=args.trials)
-    sweeps = {s: psi for s, (psi, _) in zip(sigma_s_list, results)}
-    capacity_sweeps = {}
-    if args.capacity:
-        if len(scenario.users) == 1:
-            capacity_sweeps = {s: cap for s, (_, cap) in zip(sigma_s_list, results)}
-        else:
-            print("capacity sweep skipped: scenario serves more than one user", file=sys.stderr)
+    if args.capacity and len(scenario.users) != 1:
+        print("capacity sweep skipped: scenario serves more than one user", file=sys.stderr)
 
-    baseline = sweeps.get(0.0)
-    for sigma_s_deg, sweep in sweeps.items():
+    baseline = next((psi for s, (psi, _) in zip(sigma_s_list, results) if s == 0.0), None)
+    psi_series, capacity_series = {}, {}
+    for sigma_s_deg, (sweep, cap) in zip(sigma_s_list, results):
         footer = []
         if baseline is not None and sigma_s_deg != 0.0:
             cross = crossover_sigma(baseline, sweep)
@@ -296,38 +308,24 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
                 else "# crossover_vs_sigma_s_0_deg=none"
             )
         token = _sigma_value_token(sigma_s_deg)
-        if args.format in ("csv", "both"):
-            path = out_dir / f"sweep_sigmas_{token}.csv"
-            _write_csv(path, scenario.seed,
-                       ("sigma_i_deg", "psi_db_mean", "psi_db_std", "trials"),
-                       _sweep_columns(sweep), footer)
-            print(f"wrote {path}")
-        cap = capacity_sweeps.get(sigma_s_deg)
-        if cap is not None and args.format in ("csv", "both"):
-            path = out_dir / f"capacity_{token}.csv"
-            _write_csv(path, scenario.seed,
-                       ("sigma_i_deg", "capacity_mean", "capacity_std", "trials"),
-                       _sweep_columns(cap))
-            print(f"wrote {path}")
+        label = f"sigma_s={token} deg"
+        psi_series[label] = (sweep.sigma_i_deg, sweep.mean_db)
+        _emit(args, out_dir, f"sweep_sigmas_{token}", scenario.seed,
+              csv=(("sigma_i_deg", "psi_db_mean", "psi_db_std", "trials"),
+                   _sweep_columns(sweep), footer))
+        if args.capacity and cap is not None:
+            capacity_series[label] = (cap.sigma_i_deg, cap.mean_db)
+            _emit(args, out_dir, f"capacity_{token}", scenario.seed,
+                  csv=(("sigma_i_deg", "capacity_mean", "capacity_std", "trials"),
+                       _sweep_columns(cap)))
 
-    if args.format in ("svg", "both"):
-        series = {
-            f"sigma_s={_sigma_value_token(s)} deg": (sw.sigma_i_deg, sw.mean_db)
-            for s, sw in sweeps.items()
-        }
-        svg_path = out_dir / "sweep_psi.svg"
-        write_line_chart(svg_path, series, "Mitigation effectiveness vs interferer deviation",
-                         "sigma_i [deg]", "mean effectiveness [dB]")
-        print(f"wrote {svg_path}")
-        if capacity_sweeps:
-            series = {
-                f"sigma_s={_sigma_value_token(s)} deg": (sw.sigma_i_deg, sw.mean_db)
-                for s, sw in capacity_sweeps.items()
-            }
-            svg_path = out_dir / "sweep_capacity.svg"
-            write_line_chart(svg_path, series, "Capacity vs interferer deviation",
-                             "sigma_i [deg]", "capacity [bits/s/Hz]")
-            print(f"wrote {svg_path}")
+    _emit(args, out_dir, "sweep_psi", scenario.seed,
+          svg=(psi_series, "Mitigation effectiveness vs interferer deviation",
+               "sigma_i [deg]", "mean effectiveness [dB]"))
+    if capacity_series:
+        _emit(args, out_dir, "sweep_capacity", scenario.seed,
+              svg=(capacity_series, "Capacity vs interferer deviation",
+                   "sigma_i [deg]", "capacity [bits/s/Hz]"))
     return _EXIT_OK
 
 
@@ -374,20 +372,14 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
         columns = (np.tile(deviations_deg, len(zetas)),
                    np.repeat(args.altitudes_km, deviations_deg.size),
                    zeta_km, (~np.isnan(zeta_km)).astype(int))
-        if args.format in ("csv", "both"):
-            path = out_dir / f"{stem}.csv"
-            _write_csv(path, scenario.seed,
-                       ("deviation_deg", "altitude_km", "zeta_km", "hit"), columns)
-            print(f"wrote {path}")
-        if args.format in ("svg", "both"):
-            series = {}
-            for alt_km, zeta in zip(args.altitudes_km, zetas):
-                hit = ~np.isnan(zeta)
-                series[f"{alt_km:g} km"] = (deviations_deg[hit], zeta[hit])
-            path = out_dir / f"{stem}.svg"
-            write_line_chart(path, series, "Ground distance vs pointing deviation",
-                             "deviation [deg]", "distance [km]")
-            print(f"wrote {path}")
+        series = {}
+        for alt_km, zeta in zip(args.altitudes_km, zetas):
+            hit = ~np.isnan(zeta)
+            series[f"{alt_km:g} km"] = (deviations_deg[hit], zeta[hit])
+        _emit(args, out_dir, stem, scenario.seed,
+              csv=(("deviation_deg", "altitude_km", "zeta_km", "hit"), columns),
+              svg=(series, "Ground distance vs pointing deviation",
+                   "deviation [deg]", "distance [km]"))
     return _EXIT_OK
 
 

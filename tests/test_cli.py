@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,23 @@ def scenario_path(tmp_path):
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+def written(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+#: Small runs of the three commands that write charts, and the charts each writes.
+CHART_RUNS = [
+    pytest.param(["pattern", "--uniform", "--samples", "181"], {"pattern_phi0.svg"},
+                 id="pattern"),
+    pytest.param(["sweep", "--sigma-s", "0,0.3", "--trials", "10", "--capacity",
+                  "--sigma-i-max", "0.2", "--sigma-i-step", "0.1"],
+                 {"sweep_psi.svg", "sweep_capacity.svg"}, id="sweep"),
+    pytest.param(["geodesy", "--altitudes-km", "400,800",
+                  "--deviation-max", "0.4", "--deviation-step", "0.2"],
+                 {"arc_dtheta.svg", "arc_dphi.svg"}, id="geodesy"),
+]
 
 
 class TestCommonBehaviour:
@@ -118,6 +139,50 @@ class TestCommonBehaviour:
         bad.write_text(json.dumps({"satellite": {"lon_deg": 0.0}}))
         assert main(["optimize", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        # each flag belongs to subcommands that read it: geodesy takes no
+        # shaping overrides, and optimize writes CSV only
+        ["geodesy", "--kappa", "11"],
+        ["geodesy", "--L", "3"],
+        ["optimize", "--format", "svg"],
+    ])
+    def test_flag_of_another_subcommand_is_usage_error(
+        self, argv, scenario_path, tmp_path, capsys
+    ):
+        assert main(argv + ["--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, charts", CHART_RUNS)
+    def test_svg_format_writes_charts_and_no_csv(self, argv, charts, scenario_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(argv + ["--scenario", str(scenario_path), "--out", str(out),
+                            "--format", "svg"]) == 0
+        assert set(written(out)) == charts
+        assert all(svg.startswith(b"<svg") for svg in written(out).values())
+
+    def test_calls_in_one_process_match_lone_runs(self, scenario_path, tmp_path):
+        # main reuses one parser, so no call may leave a flag to the next:
+        # the plain sweep after a --capacity --format both sweep writes
+        # neither capacity files nor charts
+        sweep = ["sweep", "--trials", "10", "--sigma-i-max", "0.2", "--sigma-i-step", "0.1"]
+        runs = {
+            "charted": sweep + ["--capacity", "--format", "both"],
+            "plain": sweep,
+            "geodesy": ["geodesy", "--altitudes-km", "400,800",
+                        "--deviation-max", "0.4", "--deviation-step", "0.2"],
+        }
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for name, argv in runs.items():
+            argv = argv + ["--scenario", str(scenario_path)]
+            assert main(argv + ["--out", str(tmp_path / "in" / name)]) == 0
+            subprocess.run([sys.executable, "-m", "nullshaper.cli", *argv,
+                            "--out", str(tmp_path / "alone" / name)],
+                           env=env, check=True, capture_output=True, timeout=120)
+        for name in runs:
+            assert written(tmp_path / "in" / name) == written(tmp_path / "alone" / name)
+        assert sorted(written(tmp_path / "in" / "plain")) == ["sweep_sigmas_0.3.csv"]
+
     def test_output_directory_created(self, scenario_path, tmp_path):
         out = tmp_path / "deep" / "nested" / "dir"
         assert main(["pattern", "--scenario", str(scenario_path), "--out", str(out),
@@ -153,6 +218,17 @@ class TestPattern:
                      "--uniform", "--format", "both"]) == 0
         svg = (out / "pattern_phi0.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_negative_zero_phi_cut_is_the_zero_cut(self, scenario_path, tmp_path):
+        outputs = {}
+        for token in ("-0", "0"):
+            out = tmp_path / token
+            assert main(["pattern", "--scenario", str(scenario_path), "--out", str(out),
+                         f"--phi-cut={token}", "--uniform", "--samples", "181",
+                         "--format", "both"]) == 0
+            outputs[token] = written(out)
+        assert sorted(outputs["-0"]) == ["pattern_phi0.csv", "pattern_phi0.svg"]
+        assert outputs["-0"] == outputs["0"]
 
     def test_notch_width_grows_with_kappa_override(self, tmp_path):
         raw = {
