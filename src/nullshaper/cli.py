@@ -18,7 +18,8 @@ then a header row. Outputs are deterministic for a fixed scenario and
 seed, so re-running a command overwrites files with identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
-3 runtime error (non-convergence, missed rays, I/O failures).
+3 runtime error (non-convergence, missed rays, I/O failures, a sigma_s too
+small to design in double precision).
 """
 
 from __future__ import annotations
@@ -78,24 +79,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+#: Rows per block that ``_write_csv`` formats and writes at once, so a long
+#: table streams to its file instead of being built as one string.
+_CSV_ROWS = 4096
+
+
 def _write_csv(path: Path, seed: int, header, columns, footer_comments=()) -> None:
     """Write the comment line, the header and one row per element of the
-    equal-length ``columns``.
+    equal-length ``columns``, then the footer lines.
 
     Values print as their Python ``repr``: the shortest round-trip form for
-    floats (``nan`` for NaN) and plain digits for integers.
+    floats (``nan`` for NaN) and plain digits for integers. Rows stream to
+    the file in blocks of ``_CSV_ROWS``. Columns of unequal length raise
+    ``ValueError`` before the file is opened.
     """
-    lines = [f"# tool=nullshaper {__version__} seed={seed}", ",".join(header)]
-    values = [np.asarray(c).tolist() for c in columns]
-    rows = len(values[0])
-    if rows:
-        # interleave row-major without casting, so int columns keep their repr
-        flat = [None] * (rows * len(values))
-        for j, column in enumerate(values):
-            flat[j::len(values)] = column
-        lines.append("\n".join([",".join(["%r"] * len(values))] * rows) % tuple(flat))
-    lines.extend(footer_comments)
-    path.write_text("\n".join(lines) + "\n")
+    columns = [np.asarray(c) for c in columns]
+    rows = len(columns[0])
+    if any(len(c) != rows for c in columns):
+        raise ValueError(f"{path.name}: columns differ in length")
+    row_format = ",".join(["%r"] * len(columns)) + "\n"
+    with path.open("w") as out:
+        out.write(f"# tool=nullshaper {__version__} seed={seed}\n{','.join(header)}\n")
+        for start in range(0, rows, _CSV_ROWS):
+            block = [c[start:start + _CSV_ROWS].tolist() for c in columns]
+            # interleave row-major without casting, so int columns keep their repr
+            flat = [None] * (len(block[0]) * len(block))
+            for j, values in enumerate(block):
+                flat[j::len(block)] = values
+            out.write(row_format * len(block[0]) % tuple(flat))
+        out.writelines(line + "\n" for line in footer_comments)
 
 
 def _emit(args, out_dir: Path, stem: str, seed: int, csv=None, svg=None) -> None:

@@ -174,6 +174,10 @@ def optimize(obj: Objective) -> OptimizationResult:
     ``array._BLOCK_BYTES`` of grid steering, so no whole grid steering
     matrix is built, and the design is scored with one more blocked pass
     over the grid. Deterministic.
+
+    Raises ``FloatingPointError`` when the interferer form overflows or
+    the design's norm is not a positive finite number, as happens when the
+    grid's densities are near the limits of double precision.
     """
     size = obj.array.size
     users = obj._user_steering
@@ -185,12 +189,20 @@ def optimize(obj: Objective) -> OptimizationResult:
         for block in _direction_blocks(weights.size, size):
             grid = obj.array.steering(directions[block, 0], directions[block, 1])
             interferer_form += (grid.conj().T * weights[block]) @ grid
-    loading = LOADING * float(np.trace(interferer_form).real) / size
+    with np.errstate(over="ignore"):  # checked below
+        loading = LOADING * float(np.trace(interferer_form).real) / size
+    # the diagonal bounds every entry of the PSD form, so a finite trace
+    # means a finite form
+    if not math.isfinite(loading):
+        raise FloatingPointError("the interferer form overflows")
     interferer_form[np.diag_indices(size)] += loading
     solved = np.linalg.solve(interferer_form, users.conj().T)
     _, vectors = np.linalg.eigh(users @ solved)
     best = solved @ vectors[:, -1]
-    weights = WeightVector(best / np.linalg.norm(best))
+    norm = np.linalg.norm(best)
+    if not 0.0 < norm < math.inf:
+        raise FloatingPointError(f"the design's norm is {norm}")
+    weights = WeightVector(best / norm)
 
     numerator, denominator = obj._terms(weights)
     clamped = denominator is not None and bool(denominator[0] <= EPS_DEN)

@@ -71,7 +71,8 @@ class ScenarioError(ValueError):
 
 
 class UnsupportedScenarioError(ValueError):
-    """Metric undefined for this scenario shape (e.g. capacity with K > 1)."""
+    """Metric undefined for this scenario shape (e.g. capacity with K > 1),
+    or a design that double precision cannot hold (a tiny sigma_s)."""
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,23 @@ def build_objective(sc: Scenario) -> Objective:
 
 
 def design_weights(sc: Scenario) -> OptimizationResult:
-    """Design beamforming weights for the scenario's shaped objective."""
-    return optimize(build_objective(sc))
+    """Design beamforming weights for the scenario's shaped objective.
+
+    Raises :class:`UnsupportedScenarioError` naming sigma_s when the grid
+    densities, which grow as 1 / sigma_s^2, take the design out of double
+    precision. On ``leo_capacity.json`` the design's norm underflows below
+    about sigma_s = 1e-83 deg, and the densities or their sum overflow
+    below about 1e-152 deg.
+    """
+    try:
+        return optimize(build_objective(sc))
+    except ArithmeticError as exc:  # OverflowError or FloatingPointError
+        sigmas_deg = [math.degrees(j.sigma_s) for j in sc.interferers if j.sigma_s > 0.0]
+        if not sigmas_deg:
+            raise
+        raise UnsupportedScenarioError(
+            f"sigma_s = {min(sigmas_deg):g} deg is too small to design in double precision "
+            f"({exc}); use sigma_s = 0 for a point-mass design") from exc
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,9 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
     with sigma > 0 still contributes its peak density 1/(sqrt(2 pi) sigma):
     with both sigmas positive the grid holds L^2 copies of the mean
     direction, each weighted 1/(2 pi sigma_theta sigma_phi).
+
+    Raises ``OverflowError`` when a sigma is so small that a density
+    value overflows.
     """
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")
@@ -126,7 +129,10 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
     ):
         if sigma > 0.0:
             z = (axis_values - mean) / sigma
-            weights = weights * np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * sigma)
+            with np.errstate(over="ignore"):  # checked below
+                weights = weights * np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * sigma)
+    if not np.isfinite(weights).all():
+        raise OverflowError("the grid's density overflows")
     return NullSampleGrid(directions, weights)
 
 

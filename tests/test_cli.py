@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from nullshaper import __version__
 from nullshaper.array import null_width
+from nullshaper import cli
 from nullshaper.cli import _write_csv, main
 
 
@@ -496,3 +498,81 @@ class TestWriteCsv:
         assert (tmp_path / "e.csv").read_text() == (
             f"# tool=nullshaper {__version__} seed=5\na,b\n"
         )
+
+
+@pytest.fixture(scope="class", params=[1, 7])
+def csv_rows(request):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CSV_ROWS", request.param)
+        yield request.param
+
+
+@pytest.mark.usefixtures("csv_rows")
+class TestWriteCsvBlocks:
+    """The per-row reference again, with tables streamed in blocks of one
+    and of seven rows."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.tuples(st.integers(-10**6, 10**6),
+                           st.floats(allow_infinity=True, allow_nan=True)),
+                 min_size=0, max_size=30),
+        st.lists(st.sampled_from(["# crossover_vs_sigma_s_0_deg=none", "# note=1"]), max_size=2),
+    )
+    def test_matches_per_row_reference(self, tmp_path_factory, rows, footer):
+        out = tmp_path_factory.mktemp("csv")
+        ints = np.array([r[0] for r in rows], dtype=int)
+        floats = [r[1] for r in rows]
+        columns = (ints, floats, (~np.isnan(floats)).astype(int))
+        reference_write_csv(out / "want.csv", 7, ("i", "x", "hit"), columns, footer)
+        _write_csv(out / "got.csv", 7, ("i", "x", "hit"), columns, footer)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+class TestWriteCsvStreaming:
+    def test_columns_of_unequal_length_write_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            _write_csv(tmp_path / "t.csv", 1, ("a", "b"), (np.arange(3), [0.5, 1.5]))
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_long_table_memory_is_bounded(self, tmp_path):
+        angles = np.linspace(0.0, 180.0, 36001)
+        columns = (angles, 30.0 * np.sin(np.radians(7.0 * angles)) - 20.0)
+        _write_csv(tmp_path / "warm.csv", 1, ("angle_deg", "gain_db"), columns)
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "p.csv", 1, ("angle_deg", "gain_db"), columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        reference_write_csv(tmp_path / "want.csv", 1, ("angle_deg", "gain_db"), columns)
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestTinySigmaS:
+    """A sigma_s so small that its grid densities leave double precision is
+    a one-line runtime error that names it, and no file is written."""
+
+    def assert_refused(self, argv, sigma_s, out, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("runtime error: sigma_s = %s deg " % sigma_s)
+        assert captured.err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("sigma_s", ["1e-100", "1e-160"])  # norm underflow, density overflow
+    def test_sweep(self, sigma_s, scenario_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        self.assert_refused(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                             "--sigma-s", sigma_s, "--trials", "5", "--format", "both"],
+                            sigma_s, out, capsys)
+
+    def test_optimize_scenario_file(self, scenario_path, tmp_path, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["interferers"][0]["sigma_s_deg"] = 1e-160
+        scenario_path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        self.assert_refused(["optimize", "--scenario", str(scenario_path), "--out", str(out)],
+                            "1e-160", out, capsys)

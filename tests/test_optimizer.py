@@ -256,6 +256,22 @@ def objectives(draw, users=st.integers(1, 3)):
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
+class TestDoublePrecisionLimits:
+    """Grid densities grow as 1 / sigma_s^2; a design they take out of
+    double precision raises instead of returning non-finite weights."""
+
+    @pytest.mark.parametrize("sigma_s_deg, message", [
+        (1e-100, "norm is 0.0"),              # the solve underflows
+        (1e-152, "interferer form overflows"),  # the densities' sum overflows
+    ])
+    def test_raises_floating_point_error(self, sigma_s_deg, message):
+        with pytest.raises(FloatingPointError, match=message):
+            optimize(null_objective(sigma_s_deg, 3, 1))
+
+    def test_small_sigma_s_still_designs(self):
+        assert np.isfinite(optimize(null_objective(1e-80, 3, 1)).weights.values).all()
+
+
 class TestClosedForm:
     @PROPERTY
     @given(objectives(), st.data())

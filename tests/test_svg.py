@@ -1,6 +1,7 @@
 """The array-pass SVG writer against the per-point writer it replaced."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nullshaper import _svg
 from nullshaper._svg import (
     _COLORS,
     _HEIGHT,
@@ -199,3 +201,107 @@ class TestWriteLineChart:
     def test_length_mismatch_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
             write_line_chart(tmp_path / "c.svg", {"a": ([0.0, 1.0], [1.0])}, "t", "x", "y")
+
+
+def percent_points(flat):
+    """The polyline text as the ``%`` path spells it."""
+    return " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat)
+
+
+# values whose hundredths rounding is a near or exact tie, and the carry
+# of 9999.995 into "10000.00"
+TIES = [0.005, 0.015, 0.125, 1.005, 2.675, 9.995, 99.995, 9999.994, 9999.995]
+PIXEL = st.floats(0.0, 1e4, exclude_max=True) | st.sampled_from(TIES)
+
+
+class TestArrayPoints:
+    @PROPERTY
+    @given(st.lists(st.tuples(PIXEL, PIXEL), min_size=1, max_size=60))
+    def test_matches_percent_format(self, points):
+        flat = [v for point in points for v in point]
+        assert _svg._array_points(np.array(flat)) == percent_points(flat)
+
+    def test_ties_and_carry(self):
+        flat = TIES + [TIES[0]]
+        assert _svg._array_points(np.array(flat)) == percent_points(flat)
+        assert percent_points([9999.995, 0.0]) == "10000.00,0.00"
+
+    def test_tie_grid(self):
+        # k / 100 + 0.005 over the range, every 37th k and the last ten
+        k = np.r_[0:1_000_000:37, 999_990:1_000_000]
+        flat = (k / 100 + 0.005).tolist()
+        assert _svg._array_points(np.array(flat)) == percent_points(flat)
+
+    @pytest.mark.parametrize("odd", [-0.0, math.nan, math.inf, 1e4, -1.0])
+    def test_values_off_the_digit_range_take_the_percent_path(self, monkeypatch, odd):
+        calls = []
+
+        def spy(flat):
+            calls.append(flat.size)
+            return percent_points(flat.tolist())
+
+        monkeypatch.setattr(_svg, "_percent_points", spy)
+        flat = [1.0, odd, 2.5, 3.25]
+        assert _svg._array_points(np.array(flat)) == percent_points(flat)
+        assert calls == [4]
+
+    def test_values_in_range_take_no_percent_path(self, monkeypatch):
+        monkeypatch.setattr(_svg, "_percent_points", None)
+        assert _svg._array_points(np.array([0.0, 70.004, 829.996, 9999.99])) == (
+            "0.00,70.00 830.00,9999.99")
+
+
+@pytest.fixture(scope="class")
+def one_point_chunks():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_svg, "_CHUNK", 1)
+        yield
+
+
+@pytest.mark.usefixtures("one_point_chunks")
+class TestWriteLineChartOnePointChunks:
+    """The ``TestWriteLineChart`` reference comparisons again, with every
+    non-empty series spelled in whole-array passes of one point."""
+
+    @PROPERTY
+    @given(st.lists(POINTS, min_size=1, max_size=4), st.booleans())
+    @example([[(0.0, math.nan), (1.0, 2.0), (math.inf, 3.0), (2.0, -1.0)],
+              [(math.nan, math.nan)], [(-0.5, 0.25), (0.5, -math.inf)]], True)
+    @example([[(-0.0, -0.004), (0.0, -0.005), (-1e-9, -0.0)], [(0.004, 1e-9)]], False)
+    def test_matches_reference_with_non_finite_points(self, out_dir, point_lists, as_arrays):
+        series = as_series(point_lists)
+        try:
+            reference_line_chart(out_dir / "want.svg", series, "t", "x", "y")
+        except ValueError:
+            return
+        assert_same_bytes(out_dir, series, as_arrays)
+
+    @PROPERTY
+    @given(FINITE | NEAR_ZERO, FINITE | NEAR_ZERO, st.integers(1, 5))
+    def test_constant_series_matches_reference(self, out_dir, x, y, size):
+        assert_same_bytes(out_dir, {"flat": ([x] * size, [y] * size)})
+
+    @PROPERTY
+    @given(FINITE | NEAR_ZERO, FINITE | NEAR_ZERO)
+    def test_single_point_matches_reference(self, out_dir, x, y):
+        assert_same_bytes(out_dir, {"one": ([x], [y])})
+
+    def test_series_without_finite_point_writes_empty_polyline(self, out_dir):
+        assert_same_bytes(out_dir, {
+            "data": ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0]),
+            "missing": ([math.nan, 1.0], [0.0, math.inf]),
+        })
+
+
+def test_long_chart_memory_is_bounded(tmp_path):
+    x = np.linspace(0.0, 180.0, 36001)
+    series = {"gain": (x, 30.0 * np.sin(np.radians(7.0 * x)) - 20.0)}
+    write_line_chart(tmp_path / "warm.svg", series, "t", "x", "y")
+    tracemalloc.start()
+    try:
+        write_line_chart(tmp_path / "c.svg", series, "t", "x", "y")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert_same_bytes(tmp_path, {"gain": tuple(c.tolist() for c in series["gain"])})

@@ -145,6 +145,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(belief, 3, -1)
 
+    def test_overflowing_density_raises_overflow_error(self):
+        # 1 / (2 pi sigma^2) is past the largest double at sigma = 1e-160
+        with pytest.raises(OverflowError, match="density overflows"):
+            build_grid(InterfererBelief.isotropic(0.3, 1.0, 1e-160), 3, 1)
+
 
 class TestNormalizeWeights:
     """Grid weights divided by their sum, as a probability mass."""
