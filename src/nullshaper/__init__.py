@@ -21,7 +21,6 @@ from .array import (
 )
 from .geodesy import (
     AerPosition,
-    ConvergenceError,
     GeodeticPosition,
     RayMissError,
     angular_deviation_to_ground_distance,
@@ -68,7 +67,6 @@ __all__ = [
     # geodesy
     "GeodeticPosition",
     "AerPosition",
-    "ConvergenceError",
     "RayMissError",
     "geodetic_to_ecef",
     "ned_to_ecef_rotation",

@@ -18,8 +18,8 @@ then a header row. Outputs are deterministic for a fixed scenario and
 seed, so re-running a command overwrites files with identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
-3 runtime error (non-convergence, missed rays, I/O failures, a sigma_s too
-small to design in double precision).
+3 runtime error (missed rays, I/O failures, a sigma_s too small to design
+in double precision).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from ._svg import write_line_chart
 from .array import WeightVector, pattern_cut
 from .geodesy import (
     AerPosition,
-    ConvergenceError,
     GeodeticPosition,
     RayMissError,
     angular_deviation_to_ground_distance,
@@ -299,6 +298,13 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
     sigma_i_deg = _grid_deg(args.sigma_i_max, args.sigma_i_step, "sigma-i")
     if not 1 <= args.trials <= MAX_TRIALS:
         raise _UsageError(f"--trials must be between 1 and {MAX_TRIALS}")
+    # a value whose radians underflow would design, and be compared as,
+    # sigma_s = 0 while its files name it
+    vanishing = [s for s in sigma_s_list if s > 0.0 and math.radians(s) == 0.0]
+    if vanishing:
+        raise UnsupportedScenarioError(
+            f"sigma_s = {min(vanishing):g} deg is too small to design in double precision "
+            "(its radians underflow to 0); use sigma_s = 0 for a point-mass design")
 
     sigma_i_rad = [math.radians(s) for s in sigma_i_deg]
 
@@ -424,7 +430,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (ConvergenceError, RayMissError, VisibilityError, UnsupportedScenarioError) as exc:
+    except (RayMissError, VisibilityError, UnsupportedScenarioError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return _EXIT_RUNTIME
     except OSError as exc:

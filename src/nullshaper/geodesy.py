@@ -22,6 +22,12 @@ loops. Where a scalar entry point wraps a kernel it runs a one-element
 batch, so a batch gives, element by element, the bits of one-at-a-time
 calls.
 
+The ECEF -> geodetic inverse is the exact closed form of Vermeille
+(J. Geodesy 76, 2002), without iteration. It holds outside the evolute of
+the meridian ellipse, that is everywhere more than about 43 km from the
+Earth's centre; the 4th element that :func:`ecef_to_geodetic_arrays`
+returns is true where it gave a finite solution.
+
 Look rays are intersected with the datum surface in batches, and a ray that
 misses comes back as NaN. :func:`ground_footprint` and scalar calls of
 :func:`angular_deviation_to_ground_distance` turn a miss into
@@ -39,7 +45,6 @@ import numpy as np
 __all__ = [
     "GeodeticPosition",
     "AerPosition",
-    "ConvergenceError",
     "RayMissError",
     "geodetic_to_ecef",
     "geodetic_to_ecef_arrays",
@@ -60,21 +65,6 @@ ECCENTRICITY_SQ = 6.69437999014e-3
 SEMI_MINOR_M = SEMI_MAJOR_M * math.sqrt(1.0 - ECCENTRICITY_SQ)
 #: Mean Earth radius (m) of the great-circle ground distances.
 MEAN_RADIUS_M = 6371008.8
-
-# Latitude iteration caps for the ECEF -> geodetic inverse, read at each
-# call. Convergence takes <= 6 iterations anywhere below 2000 km altitude;
-# 15 is a generous bound.
-LATITUDE_TOL_RAD = 1e-12
-LATITUDE_MAX_ITER = 15
-
-
-class ConvergenceError(RuntimeError):
-    """Latitude refinement failed to converge; ``last`` holds the final iterate."""
-
-    def __init__(self, message: str, last: "GeodeticPosition"):
-        super().__init__(message)
-        self.last = last
-
 
 class RayMissError(ValueError):
     """A look ray does not reach the Earth's surface."""
@@ -190,49 +180,50 @@ def ned_to_ecef_rotation(lon: float, lat: float) -> np.ndarray:
 
 
 def ecef_to_geodetic_arrays(x, y, z):
-    """Vectorised ECEF -> geodetic inverse.
+    """Vectorised ECEF -> geodetic inverse, in the exact closed form of
+    Vermeille (J. Geodesy 76, 2002): one cube root and a few square roots
+    per point, no iteration.
 
-    The latitude starts from the geocentric value and is refined with the
-    fixed-point update lat <- atan2(z + R_N e^2 sin(lat), hypot(x, y)), the
-    altitude being recomputed alongside. Each element stops at its own first
-    iterate that moves less than ``LATITUDE_TOL_RAD``, within at most
-    ``LATITUDE_MAX_ITER`` updates, so a batch returns the same bits as
-    element-by-element calls. Returns (lon, lat, alt, converged) where
-    ``converged`` is a bool array.
+    Every operation is elementwise, so a batch returns the same bits as
+    element-by-element calls. Returns (lon, lat, alt, ok), where ``ok`` is a
+    bool array that is true where the closed form gave a finite solution.
+    It is false for non-finite input and inside the evolute of the meridian
+    ellipse (within about 43 km of the Earth's centre), where the closed
+    form takes the square root of a negative number; there the latitude and
+    altitude are NaN and no warning is raised.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    p = np.hypot(x, y)
+    # p, q, r, s, t, u, v, w, k and d are the paper's names
+    e4 = ECCENTRICITY_SQ * ECCENTRICITY_SQ
+    rho = np.hypot(x, y)
+    p = (rho / SEMI_MAJOR_M) ** 2
+    q = (1.0 - ECCENTRICITY_SQ) * (z / SEMI_MAJOR_M) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = (p + q - e4) / 6.0
+        s = e4 * p * q / (4.0 * r**3)
+        t = np.cbrt(1.0 + s + np.sqrt(s * (2.0 + s)))
+        u = r * (1.0 + t + 1.0 / t)
+        v = np.sqrt(u * u + e4 * q)
+        w = ECCENTRICITY_SQ * (u + v - q) / (2.0 * v)
+        k = np.sqrt(u + v + w * w) - w
+        d = k * rho / (k + ECCENTRICITY_SQ)
+        d_z = np.hypot(d, z)
+        lat = 2.0 * np.arctan(z / (d + d_z))
+        alt = (k + ECCENTRICITY_SQ - 1.0) / k * d_z
     lon = np.arctan2(y, x)
-    lat = np.arctan2(z, p)
-    converged = np.zeros(np.shape(lat), dtype=bool)
-    for _ in range(LATITUDE_MAX_ITER):
-        rn = prime_vertical_radius(lat)
-        new_lat = np.arctan2(z + rn * ECCENTRICITY_SQ * np.sin(lat), p)
-        settled = np.abs(new_lat - lat) < LATITUDE_TOL_RAD
-        lat = np.where(converged, lat, new_lat)
-        converged = converged | settled
-        if np.all(converged):
-            break
-    rn = prime_vertical_radius(lat)
-    alt = p / np.cos(lat) - rn
-    return lon, lat, alt, converged
-
-
-def _not_converged(last: GeodeticPosition) -> ConvergenceError:
-    return ConvergenceError(
-        f"latitude iteration did not reach {LATITUDE_TOL_RAD} rad in {LATITUDE_MAX_ITER} steps", last
-    )
+    return lon, lat, alt, np.isfinite(lat) & np.isfinite(alt)
 
 
 def ecef_to_geodetic(x: float, y: float, z: float) -> GeodeticPosition:
-    """Convert ECEF coordinates to geodetic, raising on non-convergence."""
-    lon, lat, alt, ok = ecef_to_geodetic_arrays(x, y, z)
-    result = GeodeticPosition(float(lon), float(lat), float(alt))
-    if not ok:
-        raise _not_converged(result)
-    return result
+    """Convert ECEF coordinates to geodetic.
+
+    Raises ``ValueError`` where :func:`ecef_to_geodetic_arrays` has no
+    finite solution: non-finite input, or a point near the Earth's centre.
+    """
+    lon, lat, alt, _ = ecef_to_geodetic_arrays(x, y, z)
+    return GeodeticPosition(float(lon), float(lat), float(alt))
 
 
 def _haversine_arrays(lon1, lat1, lon2, lat2):
@@ -315,8 +306,7 @@ def angular_deviation_to_ground_distance(
     Scalar deltas return a float and raise :class:`RayMissError` when
     either ray misses the planet. Array deltas return an ndarray of the
     broadcast shape with NaN where a ray misses, everywhere when the
-    expected ray does. A hit point whose latitude iteration fails raises
-    :class:`ConvergenceError`.
+    expected ray does.
     """
     d_az, d_el = np.broadcast_arrays(
         np.asarray(delta_azimuth, dtype=float), np.asarray(delta_elevation, dtype=float)
@@ -328,10 +318,7 @@ def angular_deviation_to_ground_distance(
     distance = np.full(x.shape, np.nan)
     hit = ~np.isnan(x)
     if hit[0]:  # without the expected footprint no distance is defined
-        lon, lat, alt, converged = ecef_to_geodetic_arrays(x[hit], y[hit], z[hit])
-        if not converged.all():
-            i = int(np.argmin(converged))
-            raise _not_converged(GeodeticPosition(float(lon[i]), float(lat[i]), float(alt[i])))
+        lon, lat, _, _ = ecef_to_geodetic_arrays(x[hit], y[hit], z[hit])
         distance[hit] = _haversine_arrays(lon[0], lat[0], lon, lat)
     distance = distance[1:].reshape(d_az.shape)
     if distance.ndim == 0:

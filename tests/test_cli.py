@@ -569,6 +569,14 @@ class TestTinySigmaS:
                              "--sigma-s", sigma_s, "--trials", "5", "--format", "both"],
                             sigma_s, out, capsys)
 
+    @pytest.mark.parametrize("sigma_s", ["1e-322", "0,1e-322"])
+    def test_sweep_radians_underflow(self, sigma_s, scenario_path, tmp_path, capsys):
+        # math.radians(1e-322) is 0.0: the value would design as sigma_s = 0
+        out = tmp_path / "o"
+        self.assert_refused(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                             "--sigma-s", sigma_s, "--trials", "5", "--format", "both"],
+                            "9.88131e-323", out, capsys)
+
     def test_optimize_scenario_file(self, scenario_path, tmp_path, capsys):
         raw = json.loads(scenario_path.read_text())
         raw["interferers"][0]["sigma_s_deg"] = 1e-160

@@ -1,20 +1,17 @@
 import math
-from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullshaper import geodesy
 from nullshaper.geodesy import (
     ECCENTRICITY_SQ,
-    LATITUDE_MAX_ITER,
     MEAN_RADIUS_M,
     SEMI_MAJOR_M,
     SEMI_MINOR_M,
     AerPosition,
-    ConvergenceError,
     GeodeticPosition,
     RayMissError,
     _footprints_ecef,
@@ -35,7 +32,7 @@ SAT = GeodeticPosition.from_degrees(138.53, -22.024, 800e3)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 # (lon, lat, alt) from just below the surface to beyond geostationary
-# altitude, so the latitude iteration settles after different step counts
+# altitude
 GEODETIC_POINTS = st.lists(
     st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.55, 1.55), st.floats(-5e3, 5e7)),
     min_size=1,
@@ -204,27 +201,52 @@ class TestEcefToGeodetic:
             assert g.altitude == pytest.approx(alt_ref, abs=1e-5)
 
     @PROPERTY
-    @given(GEODETIC_POINTS, st.integers(1, LATITUDE_MAX_ITER))
-    @example([(0.3, 0.0, 0.0), (0.3, 0.8, 0.0), (-2.0, -1.2, 3.6e7)], LATITUDE_MAX_ITER)
-    @example([(0.3, 0.0, 0.0), (0.3, 0.8, 0.0), (-2.0, -1.2, 3.6e7)], 2)
-    def test_batch_matches_point_calls_bit_for_bit(self, points, max_iter):
+    @given(GEODETIC_POINTS)
+    @example([(0.3, 0.0, 0.0), (0.3, 0.8, 0.0), (-2.0, -1.2, 3.6e7)])
+    def test_batch_matches_point_calls_bit_for_bit(self, points):
         lon, lat, alt = np.array(points).T
         x, y, z = geodetic_to_ecef_arrays(lon, lat, alt)
-        with mock.patch.object(geodesy, "LATITUDE_MAX_ITER", max_iter):
-            batch = ecef_to_geodetic_arrays(x, y, z)
-            single = [ecef_to_geodetic_arrays(*xyz) for xyz in zip(x, y, z)]
-        for k, column in enumerate(batch):  # lon, lat, alt, converged
+        batch = ecef_to_geodetic_arrays(x, y, z)
+        single = [ecef_to_geodetic_arrays(*xyz) for xyz in zip(x, y, z)]
+        for k, column in enumerate(batch):  # lon, lat, alt, ok
             expected = np.array([result[k] for result in single], dtype=column.dtype)
             assert column.tobytes() == expected.tobytes()
 
-    def test_non_convergence_carries_last_iterate(self, monkeypatch):
-        e = geodetic_to_ecef(GeodeticPosition.from_degrees(10.0, 45.0, 1000.0))
-        monkeypatch.setattr(geodesy, "LATITUDE_MAX_ITER", 1)
-        with pytest.raises(ConvergenceError) as err:
-            ecef_to_geodetic(*e)
-        assert isinstance(err.value.last, GeodeticPosition)
-        # one refinement already lands within a few metres of the truth
-        assert err.value.last.latitude == pytest.approx(math.radians(45.0), abs=1e-4)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("altitude", [0.0, 1000.0, 800e3])
+    def test_polar_axis_altitude(self, altitude, sign):
+        # p = hypot(x, y) = 0 here, where p / cos(lat) is 0/0
+        lon, lat, alt, ok = ecef_to_geodetic_arrays(0.0, 0.0, sign * (SEMI_MINOR_M + altitude))
+        assert ok
+        assert lat == sign * math.pi / 2
+        assert alt == pytest.approx(altitude, abs=1e-6)
+
+    def test_near_polar_axis_matches_closed_form_reference(self):
+        e = (1e-3, 0.0, 6356752.3)
+        lon, lat, alt, ok = ecef_to_geodetic_arrays(*e)
+        lon_ref, lat_ref, alt_ref = ecef_to_geodetic_closed_form(*e)
+        assert ok
+        assert lat == pytest.approx(lat_ref, abs=1e-12)
+        assert alt == pytest.approx(alt_ref, abs=1e-6)
+
+    def test_footprints_lie_on_the_datum(self):
+        # on the surface the geodetic latitude is atan2(z, (1 - e^2) p) exactly
+        deviation = np.radians(np.linspace(0.0, 10.0, 1001))
+        x, y, z = _footprints_ecef(SAT, np.zeros_like(deviation), math.radians(-60.0) + deviation)
+        lon, lat, alt, ok = ecef_to_geodetic_arrays(x, y, z)
+        assert ok.all()
+        assert np.abs(lat - np.arctan2(z, (1.0 - ECCENTRICITY_SQ) * np.hypot(x, y))).max() <= 1e-15
+        assert np.abs(alt).max() < 1e-6
+
+    @pytest.mark.parametrize("ecef", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
+    def test_inside_the_evolute_has_no_solution(self, ecef):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, lat, alt, ok = ecef_to_geodetic_arrays(*ecef)
+            with pytest.raises(ValueError):
+                ecef_to_geodetic(*ecef)
+        assert not ok
+        assert np.isnan(lat) and np.isnan(alt)
 
 
 class TestAerToGeodetic:
