@@ -18,8 +18,8 @@ then a header row. Outputs are deterministic for a fixed scenario and
 seed, so re-running a command overwrites files with identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
-3 runtime error (missed rays, I/O failures, a sigma_s too small to design
-in double precision).
+3 runtime error (missed rays, I/O failures, a sigma_s too small or too
+large to design in double precision).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csvtext import repr_lines
 from ._svg import write_line_chart
 from .array import WeightVector, pattern_cut
 from .geodesy import (
@@ -89,23 +90,31 @@ def _write_csv(path: Path, seed: int, header, columns, footer_comments=()) -> No
 
     Values print as their Python ``repr``: the shortest round-trip form for
     floats (``nan`` for NaN) and plain digits for integers. Rows stream to
-    the file in blocks of ``_CSV_ROWS``. Columns of unequal length raise
+    the file in blocks of ``_CSV_ROWS``. A table whose columns are all
+    float64, such as a pattern cut, is spelled by ``_csvtext.repr_lines``
+    in whole-array passes; a table with an int column, such as the sweep
+    and geodesy tables and ``weights.csv``, goes through a ``%r`` row
+    template. Both give the same bytes. Columns of unequal length raise
     ``ValueError`` before the file is opened.
     """
     columns = [np.asarray(c) for c in columns]
     rows = len(columns[0])
     if any(len(c) != rows for c in columns):
         raise ValueError(f"{path.name}: columns differ in length")
+    spell = all(c.dtype == np.float64 for c in columns)
     row_format = ",".join(["%r"] * len(columns)) + "\n"
     with path.open("w") as out:
         out.write(f"# tool=nullshaper {__version__} seed={seed}\n{','.join(header)}\n")
         for start in range(0, rows, _CSV_ROWS):
-            block = [c[start:start + _CSV_ROWS].tolist() for c in columns]
-            # interleave row-major without casting, so int columns keep their repr
-            flat = [None] * (len(block[0]) * len(block))
-            for j, values in enumerate(block):
-                flat[j::len(block)] = values
-            out.write(row_format * len(block[0]) % tuple(flat))
+            block = [c[start:start + _CSV_ROWS] for c in columns]
+            if spell:
+                out.write(repr_lines(np.column_stack(block)))
+            else:
+                # interleave row-major without casting, so int columns keep their repr
+                flat = [None] * (len(block[0]) * len(block))
+                for j, values in enumerate(block):
+                    flat[j::len(block)] = values.tolist()
+                out.write(row_format * len(block[0]) % tuple(flat))
         out.writelines(line + "\n" for line in footer_comments)
 
 
@@ -368,6 +377,14 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
         raise _UsageError(f"--expected-elevation-deg: {exc}") from exc
     swept = np.radians(deviations_deg)
     held = math.radians(args.fixed_deviation)
+    # each table deviates the elevation by one of these; the swept ones are
+    # >= 0, so the last is the farthest
+    for flag, value, d_el in (("--deviation-max", args.deviation_max, swept[-1]),
+                              ("--fixed-deviation", args.fixed_deviation, held)):
+        try:
+            AerPosition(azimuth, elevation + d_el, 1.0)
+        except ValueError as exc:
+            raise _UsageError(f"{flag} {value:g} deg takes the look ray's {exc}") from exc
     sats = [GeodeticPosition(scenario.satellite.longitude, scenario.satellite.latitude,
                              alt_km * 1000.0) for alt_km in args.altitudes_km]
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array import ArrayModel, Direction, WeightVector, _direction_blocks, _power, _weight_values, gains
-from .uncertainty import NullSampleGrid
+from .uncertainty import NullSampleGrid, _TinyDensityError
 
 __all__ = [
     "EPS_DEN",
@@ -177,7 +177,8 @@ def optimize(obj: Objective) -> OptimizationResult:
 
     Raises ``FloatingPointError`` when the interferer form overflows or
     the design's norm is not a positive finite number, as happens when the
-    grid's densities are near the limits of double precision.
+    grid's densities are near the limits of double precision; a norm that
+    overflows, from densities too small, raises it as ``_TinyDensityError``.
     """
     size = obj.array.size
     users = obj._user_steering
@@ -196,12 +197,15 @@ def optimize(obj: Objective) -> OptimizationResult:
     if not math.isfinite(loading):
         raise FloatingPointError("the interferer form overflows")
     interferer_form[np.diag_indices(size)] += loading
-    solved = np.linalg.solve(interferer_form, users.conj().T)
-    _, vectors = np.linalg.eigh(users @ solved)
-    best = solved @ vectors[:, -1]
-    norm = np.linalg.norm(best)
-    if not 0.0 < norm < math.inf:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is checked below
+        solved = np.linalg.solve(interferer_form, users.conj().T)
+        _, vectors = np.linalg.eigh(users @ solved)
+        best = solved @ vectors[:, -1]
+        norm = np.linalg.norm(best)
+    if norm == 0.0:
         raise FloatingPointError(f"the design's norm is {norm}")
+    if not norm < math.inf:  # inf, or nan from inf - inf
+        raise _TinyDensityError(f"the design's norm is {norm}")
     weights = WeightVector(best / norm)
 
     numerator, denominator = obj._terms(weights)

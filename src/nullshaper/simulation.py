@@ -31,7 +31,7 @@ import numpy as np
 from .array import ArrayModel, Direction, WeightVector, _weight_values, gains
 from .geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
 from .optimizer import EPS_DEN, Objective, OptimizationResult, optimize
-from .uncertainty import InterfererBelief, NullSampleGrid, build_grid
+from .uncertainty import InterfererBelief, NullSampleGrid, _TinyDensityError, build_grid
 
 __all__ = [
     "VisibilityError",
@@ -72,7 +72,7 @@ class ScenarioError(ValueError):
 
 class UnsupportedScenarioError(ValueError):
     """Metric undefined for this scenario shape (e.g. capacity with K > 1),
-    or a design that double precision cannot hold (a tiny sigma_s)."""
+    or a design that double precision cannot hold (a tiny or huge sigma_s)."""
 
 
 @dataclass(frozen=True)
@@ -192,10 +192,13 @@ def design_weights(sc: Scenario) -> OptimizationResult:
     """Design beamforming weights for the scenario's shaped objective.
 
     Raises :class:`UnsupportedScenarioError` naming sigma_s when the grid
-    densities, which grow as 1 / sigma_s^2, take the design out of double
+    densities, which scale as 1 / sigma_s^2, take the design out of double
     precision. On ``leo_capacity.json`` the design's norm underflows below
     about sigma_s = 1e-83 deg, and the densities or their sum overflow
-    below about 1e-152 deg.
+    below about 1e-152 deg; the norm overflows above about 1e75 deg, and
+    the densities underflow to 0 above about 1e162 deg. A density
+    underflow or a norm overflow names the largest positive sigma_s as too
+    large; any other failure names the smallest as too small.
     """
     try:
         return optimize(build_objective(sc))
@@ -203,6 +206,12 @@ def design_weights(sc: Scenario) -> OptimizationResult:
         sigmas_deg = [math.degrees(j.sigma_s) for j in sc.interferers if j.sigma_s > 0.0]
         if not sigmas_deg:
             raise
+        # every grid's densities are the same profile over sigma_s^2, so the
+        # largest sigma_s holds the smallest density and the smallest the largest
+        if isinstance(exc, _TinyDensityError):  # a density underflow or a norm overflow
+            raise UnsupportedScenarioError(
+                f"sigma_s = {max(sigmas_deg):g} deg is too large to design in double precision "
+                f"({exc})") from exc
         raise UnsupportedScenarioError(
             f"sigma_s = {min(sigmas_deg):g} deg is too small to design in double precision "
             f"({exc}); use sigma_s = 0 for a point-mass design") from exc

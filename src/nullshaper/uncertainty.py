@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 
+class _TinyDensityError(FloatingPointError):
+    """Grid densities too small for double precision: a density underflows
+    to 0, or the design they weight has a norm that overflows."""
+
+
 @dataclass(frozen=True)
 class InterfererBelief:
     """Mean direction and per-axis standard deviations, all in radians."""
@@ -101,7 +106,8 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
     direction, each weighted 1/(2 pi sigma_theta sigma_phi).
 
     Raises ``OverflowError`` when a sigma is so small that a density
-    value overflows.
+    value overflows, and ``FloatingPointError`` (a ``_TinyDensityError``)
+    when one is so large that a density value underflows to 0.
     """
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")
@@ -133,6 +139,8 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
                 weights = weights * np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * sigma)
     if not np.isfinite(weights).all():
         raise OverflowError("the grid's density overflows")
+    if not (weights > 0.0).all():
+        raise _TinyDensityError("the grid's density underflows to 0")
     return NullSampleGrid(directions, weights)
 
 

@@ -458,6 +458,18 @@ class TestGeodesy:
         assert capsys.readouterr().err.startswith("runtime error: ")
         assert not list((tmp_path / "o").iterdir())
 
+    @pytest.mark.parametrize("argv", [["--fixed-deviation", "200"],
+                                      ["--fixed-deviation", "-200"],
+                                      ["--deviation-max", "200", "--deviation-step", "10"]])
+    def test_elevation_past_vertical_is_usage_error(self, argv, scenario_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["geodesy", "--scenario", str(scenario_path), "--out", str(out),
+                     "--format", "both"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: {argv[0]} {argv[1]} deg takes ")
+        assert captured.err.count("\n") == 1
+        assert not list(out.iterdir())
+
 
 def reference_write_csv(path, seed, header, columns, footer_comments=()):
     """The per-row CSV writer: one ``%r`` row template applied per row."""
@@ -528,12 +540,42 @@ class TestWriteCsvBlocks:
         _write_csv(out / "got.csv", 7, ("i", "x", "hit"), columns, footer)
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.tuples(st.floats(), st.floats(-1e6, 1e6)), min_size=0, max_size=30),
+        st.lists(st.sampled_from(["# crossover_vs_sigma_s_0_deg=none", "# note=1"]), max_size=2),
+    )
+    def test_float_table_matches_per_row_reference(self, tmp_path_factory, rows, footer):
+        # all float64: spelled in array passes
+        out = tmp_path_factory.mktemp("csv")
+        columns = (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+        reference_write_csv(out / "want.csv", 7, ("x", "y"), columns, footer)
+        _write_csv(out / "got.csv", 7, ("x", "y"), columns, footer)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
 
 class TestWriteCsvStreaming:
     def test_columns_of_unequal_length_write_no_file(self, tmp_path):
         with pytest.raises(ValueError, match="columns differ in length"):
             _write_csv(tmp_path / "t.csv", 1, ("a", "b"), (np.arange(3), [0.5, 1.5]))
         assert not (tmp_path / "t.csv").exists()
+
+    def test_float_tables_alone_take_the_array_path(self, monkeypatch, tmp_path):
+        spelled = []
+        repr_lines = cli.repr_lines
+
+        def spy(table):
+            spelled.append(table.shape)
+            return repr_lines(table)
+
+        monkeypatch.setattr(cli, "repr_lines", spy)
+        monkeypatch.setattr(cli, "_CSV_ROWS", 4)
+        floats = np.linspace(0.0, 1.0, 9)
+        _write_csv(tmp_path / "mixed.csv", 1, ("i", "x"), (np.arange(9), floats))
+        assert spelled == []
+        _write_csv(tmp_path / "short.csv", 1, ("x", "y"), (floats[:3], floats[:3]))
+        _write_csv(tmp_path / "long.csv", 1, ("x", "y"), (floats, floats))
+        assert spelled == [(3, 2), (4, 2), (4, 2), (1, 2)]
 
     def test_long_table_memory_is_bounded(self, tmp_path):
         angles = np.linspace(0.0, 180.0, 36001)
@@ -584,3 +626,51 @@ class TestTinySigmaS:
         out = tmp_path / "o"
         self.assert_refused(["optimize", "--scenario", str(scenario_path), "--out", str(out)],
                             "1e-160", out, capsys)
+
+
+class TestHugeSigmaS:
+    """A sigma_s so large that the design leaves double precision is the
+    same one-line runtime error, saying it is too large."""
+
+    def assert_refused(self, argv, sigma_s, out, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "runtime error: sigma_s = %s deg is too large to design in double precision (" % sigma_s)
+        assert captured.err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("sigma_s", ["1e+100", "1e+308"])  # norm overflow, density underflow
+    def test_sweep(self, sigma_s, scenario_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        self.assert_refused(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                             "--sigma-s", sigma_s, "--trials", "5", "--format", "both"],
+                            sigma_s, out, capsys)
+
+    def test_optimize_scenario_file(self, scenario_path, tmp_path, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["interferers"][0]["sigma_s_deg"] = 1e308
+        scenario_path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        self.assert_refused(["optimize", "--scenario", str(scenario_path), "--out", str(out)],
+                            "1e+308", out, capsys)
+
+    @pytest.mark.parametrize("sigmas, refusal", [
+        # the first grid built fails: its density underflows, or overflows
+        ((1e170, 1e-200), "sigma_s = 1e+170 deg is too large to design in double precision ("
+                          "the grid's density underflows to 0)\n"),
+        ((1e-200, 1e170), "sigma_s = 1e-200 deg is too small to design in double precision ("
+                          "the grid's density overflows); use sigma_s = 0 for a point-mass "
+                          "design\n"),
+    ], ids=["huge_first", "tiny_first"])
+    def test_two_interferers_name_the_failing_side(self, sigmas, refusal, scenario_path,
+                                                    tmp_path, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["interferers"] = [dict(raw["interferers"][0], sigma_s_deg=s) for s in sigmas]
+        raw["interferers"][1].update(lon_deg=140.0, lat_deg=-25.0)
+        scenario_path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["optimize", "--scenario", str(scenario_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "runtime error: " + refusal
+        assert not list(out.iterdir())

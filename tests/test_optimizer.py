@@ -271,6 +271,11 @@ class TestDoublePrecisionLimits:
     def test_small_sigma_s_still_designs(self):
         assert np.isfinite(optimize(null_objective(1e-80, 3, 1)).weights.values).all()
 
+    def test_huge_sigma_s_raises_without_a_warning(self):
+        # tiny densities make the solve overflow; the suite turns warnings into errors
+        with pytest.raises(FloatingPointError, match="norm is inf"):
+            optimize(null_objective(1e100, 3, 1))
+
 
 class TestClosedForm:
     @PROPERTY

@@ -150,6 +150,11 @@ class TestBuildGrid:
         with pytest.raises(OverflowError, match="density overflows"):
             build_grid(InterfererBelief.isotropic(0.3, 1.0, 1e-160), 3, 1)
 
+    def test_underflowing_density_raises_floating_point_error(self):
+        # 1 / (2 pi sigma^2) is below the smallest double at sigma = 1e200
+        with pytest.raises(FloatingPointError, match="density underflows to 0"):
+            build_grid(InterfererBelief.isotropic(0.3, 1.0, 1e200), 3, 1)
+
 
 class TestNormalizeWeights:
     """Grid weights divided by their sum, as a probability mass."""
