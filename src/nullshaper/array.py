@@ -39,9 +39,11 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: Export floor replacing -inf when a pattern sample is exactly zero.
 DEFAULT_FLOOR_DB = -100.0
 
-#: Complex steering bytes built per direction block wherever steering rows
-#: are reduced to response power, so memory stays flat in the number of
-#: directions.
+#: Complex bytes built per direction block wherever steering rows are
+#: reduced to response power, counting every per-direction temporary (the
+#: row and column powers as well as the phasors), so memory stays flat in
+#: the number of directions. Sweeps also size their groups of sigma_i
+#: points from it.
 _BLOCK_BYTES = 1 << 20
 
 #: Most elements an array may have (32 x 32): weight design builds N x N
@@ -95,8 +97,9 @@ class ArrayModel:
         vector, so each direction takes one complex exponential per axis,
         z = exp(-i k d u) with d the axis spacing and u the direction cosine
         along it; ``_powers`` raises z to the element indices, and the two
-        factors are multiplied out in ravel order. Every phasor depends on
-        its own direction only, not on P.
+        factors are multiplied out, rows first, into a C-ordered array in
+        ravel order, so every phasor row is contiguous for ``_power``'s dots.
+        Every phasor depends on its own direction only, not on P.
         """
         theta_arr = np.asarray(theta, dtype=float)
         phi_arr = np.asarray(phi, dtype=float)
@@ -104,24 +107,30 @@ class ArrayModel:
         theta_arr, phi_arr = np.atleast_1d(theta_arr), np.atleast_1d(phi_arr)
         sin_theta = np.sin(theta_arr)
         minus_ik = -2j * np.pi / self.wavelength
-        rows = _powers(np.exp(minus_ik * self.dx * (sin_theta * np.cos(phi_arr))), self.m)
-        cols = _powers(np.exp(minus_ik * self.dy * (sin_theta * np.sin(phi_arr))), self.n)
-        phasors = (rows[:, :, None] * cols[:, None, :]).reshape(rows.shape[0], self.size)
+        rows = _powers(minus_ik * self.dx * (sin_theta * np.cos(phi_arr)), self.m)
+        cols = _powers(minus_ik * self.dy * (sin_theta * np.sin(phi_arr)), self.n)
+        # rows first: the complex multiply does not round c * r as r * c
+        phasors = np.multiply(rows[:, :, None], cols[:, None, :], order="C")
+        phasors = phasors.reshape(rows.shape[0], self.size)
         return phasors[0] if scalar else phasors
 
 
-def _powers(z: np.ndarray, count: int) -> np.ndarray:
-    """(P, count) powers z^0 .. z^(count-1) of P phasors, by doubling: the
-    block z^k .. z^(2k-1) is z^0 .. z^(k-1) times z^k, and z^k is then
-    squared, so ceil(log2(count)) multiplies build every power, each a
-    product of at most that many factors."""
-    out = np.empty((z.size, count), dtype=complex)
-    out[:, 0] = 1.0
-    step, k = z[:, None], 1
-    while k < count:
-        out[:, k : 2 * k] = out[:, : min(k, count - k)] * step
-        step, k = step * step, 2 * k
-    return out
+def _powers(phase: np.ndarray, count: int) -> np.ndarray:
+    """(P, count) powers z^0 .. z^(count-1) of the P phasors z = exp(phase),
+    by doubling: the block z^k .. z^(2k-1) is z^0 .. z^(k-1) times z^k, and
+    z^k is then squared, so ceil(log2(count)) multiplies build every power,
+    each a product of at most that many factors. The powers are built in a
+    (count, P) array, so every multiply runs over all P directions, and
+    returned as its (P, count) view; a one-element axis is exactly 1 and
+    takes no exponential."""
+    out = np.empty((count, phase.size), dtype=complex)
+    out[0] = 1.0
+    if count > 1:
+        step, k = np.exp(phase), 1
+        while k < count:
+            np.multiply(out[: min(k, count - k)], step, out=out[k : 2 * k])
+            step, k = step * step, 2 * k
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,9 @@ class WeightVector:
 
 def _direction_blocks(count: int, size: int):
     """Slices that cover ``count`` directions in order, each holding about
-    ``_BLOCK_BYTES`` of (rows, size) complex steering."""
+    ``_BLOCK_BYTES`` of complex values at ``size`` values per direction:
+    ``gains`` counts its phasors and both axes' powers, m n + m + n, and
+    ``optimize`` its grid steering rows, m n."""
     step = max(1, _BLOCK_BYTES // (16 * size))
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
@@ -215,9 +226,10 @@ def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
     ``w`` is one weight vector, giving a (D,) result, or a (S, size) stack
     of weight rows, giving (D, S). theta and phi broadcast together and are
     flattened into the D directions; scalars drop that axis instead. The
-    directions are steered in blocks of about ``_BLOCK_BYTES`` each, so
-    memory does not grow with D. Every block, the scalar case included,
-    is reduced by ``_power``, so the blocking does not change a bit.
+    directions are steered in blocks of about ``_BLOCK_BYTES`` each,
+    phasors and axis powers together, so memory does not grow with D.
+    Every block, the scalar case included, is reduced by ``_power``, so the
+    blocking does not change a bit.
     """
     values = _weight_values(w, arr.size)
     rows = np.atleast_2d(values)
@@ -225,7 +237,7 @@ def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
     scalar = theta.ndim == 0
     theta, phi = theta.reshape(-1), phi.reshape(-1)
     power = np.empty((theta.size, rows.shape[0]))
-    for block in _direction_blocks(theta.size, arr.size):
+    for block in _direction_blocks(theta.size, arr.size + arr.m + arr.n):
         power[block] = _power(arr.steering(theta[block], phi[block]), rows)
     if values.ndim == 1:
         power = power[:, 0]

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array import ArrayModel, Direction, WeightVector, _weight_values, gains
+from .array import _BLOCK_BYTES, ArrayModel, Direction, WeightVector, _weight_values, gains
 from .geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
 from .optimizer import EPS_DEN, Objective, OptimizationResult, optimize
 from .uncertainty import InterfererBelief, NullSampleGrid, _TinyDensityError, build_grid
@@ -270,16 +270,20 @@ def monte_carlo_sweeps(
     a row does not depend on the grid around it and designs differ only by
     their weights. Per sigma_i point one ``array.gains`` call scores every
     weight row on the trials x J realised directions, steered in bounded
-    blocks, and one pass of reductions turns those gains into every
-    design's rows. At sigma_i = 0 every trial realises the J means, so only
-    those are steered and their gains are tiled over the trials; a gain
+    blocks. The points are taken in groups of about ``_BLOCK_BYTES / 4`` of
+    gains: each group's gains fill one contiguous (designs, points, trials,
+    J) array, and one pass of reductions turns it into every design's rows
+    for those points. Every reduction runs over contiguous rows of one
+    point's trials or one trial's J gains, so it rounds the same whatever
+    the grouping. At sigma_i = 0 every trial realises the J means, so only
+    those are steered and their gains are broadcast over the trials; a gain
     depends on its direction alone, so the rows equal the general path's.
     The rounding of a gain depends on neither the blocking nor the number
     of rows, so a realised point reproduces the single-point-grid
     objective value bit for bit, and a design's rows do not depend on the
     designs swept with it. Memory grows with ``trials`` times designs times
-    J, a few doubles each, not with the steering. The link budget is the
-    scenario's.
+    J, a few doubles each, not with the steering or the grid. The link
+    budget is the scenario's.
 
     Returns one ``(psi, capacity)`` pair per weight row: psi rows in dB,
     capacity rows in bits/s/Hz, or None when the scenario does not serve
@@ -293,30 +297,44 @@ def monte_carlo_sweeps(
     seed = sc.seed if seed is None else seed
 
     rows = np.array([_weight_values(w, sc.array.size) for w in weights]).reshape(-1, sc.array.size)
-    users = Objective(sc.array, sc.user_directions())
-    user_gains = np.array([[users.user_gain_mean(row)] for row in rows])
-    with_capacity = users.user_count == 1
+    designs = len(rows)
+    user_theta, user_phi = np.array([[d.theta, d.phi] for d in sc.user_directions()]).T
+    # each design's K user gains as one contiguous row, so its mean rounds as
+    # Objective.user_gain_mean does for that design alone
+    user_power = np.ascontiguousarray(gains(sc.array, rows, user_theta, user_phi).T)
+    user_gains = user_power.mean(axis=1)[:, None, None]
+    with_capacity = user_theta.size == 1
     means = np.array([[d.theta, d.phi] for d in sc.interferer_directions()])
-    z = np.random.default_rng(seed).standard_normal((trials, means.shape[0], 2))
+    interferers = len(means)
+    z = np.random.default_rng(seed).standard_normal((trials, interferers, 2))
 
-    shape = (len(rows), len(sigma_list))
+    shape = (designs, len(sigma_list))
     psi_mean, psi_std = np.empty(shape), np.empty(shape)
     cap_mean, cap_std = np.empty(shape), np.empty(shape)
-    for point, sigma_i in enumerate(sigma_list):
-        if sigma_i == 0.0:
-            # every trial realises the means: steer J directions, not trials x J
-            power = np.tile(gains(sc.array, rows, means[:, 0], means[:, 1]), (trials, 1))
-        else:
-            flat = (means + sigma_i * z).reshape(-1, 2)
-            power = gains(sc.array, rows, flat[:, 0], flat[:, 1])
-        # (designs, trials, J), contiguous, so each design's trials reduce
-        # as one contiguous row, rounding as a single-design sweep does
-        interferer_gains = np.ascontiguousarray(power.T).reshape(len(rows), trials, -1)
+    # groups of about a quarter steering block of float64 gains: the
+    # reductions hold about four arrays of the group's size at once
+    group_size = max(1, _BLOCK_BYTES // 4 // (8 * designs * trials * interferers))
+    for start in range(0, len(sigma_list), group_size):
+        group = sigma_list[start : start + group_size]
+        points = slice(start, start + len(group))
+        # (designs, points, trials, J), contiguous, so each design's trials
+        # at each point reduce as one contiguous row, rounding as a
+        # single-design, single-point sweep does
+        interferer_gains = np.empty((designs, len(group), trials, interferers))
+        for g, sigma_i in enumerate(group):
+            if sigma_i == 0.0:
+                # every trial realises the means: steer J directions, not trials x J
+                power = gains(sc.array, rows, means[:, 0], means[:, 1])
+                interferer_gains[:, g] = power.T[:, None, :]
+            else:
+                flat = (means + sigma_i * z).reshape(-1, 2)
+                power = gains(sc.array, rows, flat[:, 0], flat[:, 1])
+                interferer_gains[:, g] = power.T.reshape(designs, trials, interferers)
         per_trial = _psi_db(user_gains, interferer_gains)
-        psi_mean[:, point], psi_std[:, point] = per_trial.mean(axis=1), per_trial.std(axis=1)
+        psi_mean[:, points], psi_std[:, points] = per_trial.mean(axis=-1), per_trial.std(axis=-1)
         if with_capacity:
             per_trial = _capacity_bits(user_gains, interferer_gains, sc.link_budget)
-            cap_mean[:, point], cap_std[:, point] = per_trial.mean(axis=1), per_trial.std(axis=1)
+            cap_mean[:, points], cap_std[:, points] = per_trial.mean(axis=-1), per_trial.std(axis=-1)
 
     sigma_i_deg = tuple(math.degrees(s) for s in sigma_list)
 
@@ -328,7 +346,7 @@ def monte_carlo_sweeps(
             result(psi_mean[d], psi_std[d], "psi"),
             result(cap_mean[d], cap_std[d], "capacity") if with_capacity else None,
         )
-        for d in range(len(rows))
+        for d in range(designs)
     ]
 
 

@@ -202,6 +202,20 @@ class TestBlockedGains:
             tracemalloc.stop()
         assert peak < 12e6
 
+    @pytest.mark.parametrize("m, n", [(20, 1), (1, 20), (1024, 1)])
+    def test_one_axis_pattern_cut_memory_counts_the_powers(self, m, n):
+        # a one-axis array holds as many bytes of axis powers as of phasors,
+        # so a block sized on the phasors alone peaks near 3.1 MB
+        arr = ArrayModel.half_wavelength(m, n, WL)
+        w = WeightVector.uniform(arr.size)
+        tracemalloc.start()
+        try:
+            pattern_cut(arr, w, phi_cut=0.0, samples=36001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
 
 class TestGain:
     def test_boresight_uniform_sixty_four(self):
@@ -401,6 +415,41 @@ class TestArrayModel:
             x, y = mp.mpf(u) * mp.mpf(arr.dx), mp.mpf(v) * mp.mpf(arr.dy)
             expected = [complex(mp.expj(minus_k * (i * x + j * y))) for i in range(m) for j in range(n)]
         np.testing.assert_allclose(arr.steering(theta, phi), expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m, n", [(3, 4), (1, 5), (5, 1), (1, 1)])
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_steering_rows_are_c_contiguous(self, m, n, count):
+        # _power dots each phasor row; a direction-fastest layout would make
+        # them strided, and strided dots round differently
+        arr = ArrayModel(m, n, 0.45 * WL, 0.6 * WL, WL)
+        rng = np.random.default_rng(count)
+        theta = rng.uniform(0.0, math.pi / 2, count)
+        phi = rng.uniform(0.0, 2 * math.pi, count)
+        phasors = arr.steering(theta, phi)
+        assert phasors.shape == (count, arr.size) and phasors.flags.c_contiguous
+        scalar = arr.steering(theta[0], phi[0])
+        assert scalar.shape == (arr.size,) and scalar.flags.c_contiguous
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(1, 1024),
+        phase=st.lists(st.floats(-1e3, 1e3), min_size=0, max_size=9),
+    )
+    @example(count=1, phase=[0.5, 2.0])
+    @example(count=1024, phase=[-3.0, 0.0, 1e3])
+    def test_powers_match_row_major_doubling_bit_for_bit(self, count, phase):
+        phase = 1j * np.array(phase, dtype=float)
+        # reference: each direction's powers doubled along its own row
+        z = np.exp(phase)
+        expected = np.empty((z.size, count), dtype=complex)
+        expected[:, 0] = 1.0
+        step, k = z[:, None], 1
+        while k < count:
+            expected[:, k : 2 * k] = expected[:, : min(k, count - k)] * step
+            step, k = step * step, 2 * k
+        powers = nullshaper.array._powers(phase, count)
+        assert powers.shape == (z.size, count)
+        assert np.array_equal(np.ascontiguousarray(powers).view(np.int64), expected.view(np.int64))
 
     def test_steering_batch_matches_scalar(self):
         arr = ArrayModel.half_wavelength(3, 4, WL)

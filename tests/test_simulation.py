@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nullshaper.array
+import nullshaper.simulation
 from nullshaper.array import ArrayModel, Direction, WeightVector, gain, gains
 from nullshaper.geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
 from nullshaper.optimizer import EPS_DEN, Objective, mitigation_effectiveness, optimize
@@ -227,6 +228,50 @@ class TestMonteCarloSweep:
         # 1-row blocks: 74 realised directions per sigma_i point, 74 blocks
         monkeypatch.setattr(nullshaper.array, "_BLOCK_BYTES", 1)
         assert monte_carlo_sweeps(sc, weights, grid, trials=37, seed=14) == default
+
+    def test_grouping_of_sigma_points_does_not_change_a_bit(self, monkeypatch):
+        second = InterfererSite(position=GeodeticPosition.from_degrees(140.0, -20.5))
+        sc = replace(make_scenario(), interferers=make_scenario().interferers + (second,))
+        weights = [design_weights(sc).weights, WeightVector.uniform(64)]
+        grid = [0.0] + [math.radians(s) for s in (0.1, 0.4, 0.9, 1.5)]
+        trials = 23
+        default = monte_carlo_sweeps(sc, weights, grid, trials=trials, seed=16)
+        # a group holds _BLOCK_BYTES / 4 of (designs, points, trials, J) gains;
+        # groups of 1 put sigma_i = 0 alone, groups of 2 and 5 next to others
+        point_bytes = 8 * len(weights) * trials * len(sc.interferers)
+        for points in (1, 2, len(grid)):
+            monkeypatch.setattr(nullshaper.simulation, "_BLOCK_BYTES", 4 * points * point_bytes)
+            assert monte_carlo_sweeps(sc, weights, grid, trials=trials, seed=16) == default
+
+    def test_several_users_score_each_designs_mean_user_gain(self):
+        # ten users: numpy sums nine or more values pairwise along a
+        # contiguous row but one by one down a column, so only a per-design
+        # row of user gains rounds as the design alone does
+        users = tuple(Direction(0.05 + 0.1 * k, 0.6 * k) for k in range(10))
+        sc = replace(make_scenario(), users=users)
+        weights = [design_weights(sc).weights, WeightVector.uniform(64)]
+        pairs = monte_carlo_sweeps(sc, weights, [0.0], trials=1, seed=17)
+        mean = sc.interferer_directions()[0]
+        objective = Objective(sc.array, sc.user_directions())
+        for w, (psi, _) in zip(weights, pairs):
+            # the design's mean user gain over three users, taken alone
+            expected = 10.0 * np.log10(objective.user_gain_mean(w) / np.maximum(
+                gains(sc.array, w, mean.theta, mean.phi), EPS_DEN))
+            assert psi.mean_db[0] == expected
+
+    def test_sweep_memory_stays_bounded_in_the_grid(self):
+        # 101 sigma_i points x 2,000 trials x 2 designs: their gains alone
+        # are 3.2 MB, and one group of the whole grid peaks near 20 MB
+        sc = make_scenario()
+        weights = [design_weights(sc).weights, WeightVector.uniform(64)]
+        grid = [math.radians(0.02 * i) for i in range(101)]
+        tracemalloc.start()
+        try:
+            monte_carlo_sweeps(sc, weights, grid, trials=2000, seed=18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     def test_zero_sigma_point_steers_only_the_means(self, monkeypatch):
         second = InterfererSite(position=GeodeticPosition.from_degrees(140.0, -20.5))
