@@ -50,6 +50,7 @@ from .simulation import (
     ScenarioError,
     UnsupportedScenarioError,
     VisibilityError,
+    _sweep_weights,
     crossover_sigma,
     design_weights,
     load_scenario,
@@ -317,9 +318,11 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
 
     sigma_i_rad = [math.radians(s) for s in sigma_i_deg]
 
-    designs = ([scenario.with_sigma_s(math.radians(s)) for s in sigma_s_list] if args.sigma_s
-               else [scenario])
-    weights = [design_weights(design).weights for design in designs]
+    # without --sigma-s the interferers share one sigma_s, so with_sigma_s
+    # of it is the scenario as loaded
+    sigma_s_rad = ([math.radians(s) for s in sigma_s_list] if args.sigma_s
+                   else [scenario.interferers[0].sigma_s])
+    weights = _sweep_weights(scenario, sigma_s_rad)
     results = monte_carlo_sweeps(scenario, weights, sigma_i_rad, trials=args.trials)
     if args.capacity and len(scenario.users) != 1:
         print("capacity sweep skipped: scenario serves more than one user", file=sys.stderr)

@@ -21,9 +21,12 @@ sec. 6.2). One user gives the familiar ``(B + delta I)^-1 a^H``; without
 interferers B is the identity and the result is the matched beam.
 
 The objective keeps the few user steering rows but only the directions
-of the shaping grid: grid gains come from ``array.gains``, and
-``optimize`` adds B up over blocks of grid directions, so memory does not
-grow with the grid. Every response power goes through ``array._power``.
+of the shaping grid: grid gains come from ``array.gains``, and the design
+adds B up over blocks of grid directions, so memory does not grow with
+the grid. Every response power goes through ``array._power``. Several
+designs that share their users, such as a sweep's sigma_s values, are
+solved together: one stacked ``solve`` and one stacked ``eigh`` serve
+them all, and each design's weights are bit for bit those it gets alone.
 
 Weights are returned at unit norm, which meets the power budget
 ``||w||^2 <= 1`` with equality; the ratio is scale invariant.
@@ -31,12 +34,22 @@ Weights are returned at unit norm, which meets the power budget
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArrayModel, Direction, WeightVector, _direction_blocks, _power, _weight_values, gains
+from .array import (
+    _BLOCK_BYTES,
+    ArrayModel,
+    Direction,
+    WeightVector,
+    _direction_blocks,
+    _power,
+    _weight_values,
+    gains,
+)
 from .uncertainty import NullSampleGrid, _TinyDensityError
 
 __all__ = [
@@ -90,9 +103,7 @@ class Objective:
 
         thetas, phis = np.array([(d.theta, d.phi) for d in self.user_directions]).T
         self._user_steering = array.steering(thetas, phis)
-        grids = self.interferer_grids
-        self._grid_directions = np.concatenate([g.directions for g in grids]) if grids else None
-        self._grid_weights = np.concatenate([g.weights for g in grids]) / len(grids) if grids else None
+        self._grid_directions, self._grid_weights = _pooled(self.interferer_grids)
 
     @property
     def user_count(self) -> int:
@@ -110,11 +121,14 @@ class Objective:
         """Mean user gain and weighted interferer gain (None without
         interferers) of each row of an (S, size) weight stack."""
         rows = _weight_values(weights, self.array.size).reshape(-1, self.array.size)
-        numerator = np.mean(_power(self._user_steering, rows), axis=0)
+        # each row's K user gains and Z grid gains as contiguous rows, reduced
+        # row by row, so a row of a stack rounds as it does alone
+        numerator = np.ascontiguousarray(_power(self._user_steering, rows).T).mean(axis=1)
         if self._grid_directions is None:
             return numerator, None
         grid = self._grid_directions
-        return numerator, self._grid_weights @ gains(self.array, rows, grid[:, 0], grid[:, 1])
+        power = gains(self.array, rows, grid[:, 0], grid[:, 1])
+        return numerator, np.vecdot(np.ascontiguousarray(power.T), self._grid_weights)
 
     def user_gain_mean(self, w) -> float:
         return float(np.mean(_power(self._user_steering, self._row(w))))
@@ -165,6 +179,92 @@ class OptimizationResult:
     clamped: bool
 
 
+def _pooled(grids) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Concatenated directions and weights of interferer grids, the weights
+    divided by the number of grids; (None, None) without grids."""
+    if not grids:
+        return None, None
+    return np.concatenate([g.directions for g in grids]), np.concatenate([g.weights for g in grids]) / len(grids)
+
+
+def _load_form(array: ArrayModel, grids, form: np.ndarray) -> float:
+    """Fill the (size, size) ``form`` with B + delta I for one design's
+    interferer grids, the identity plus delta I without grids, and return
+    delta. B is added up over blocks of about ``_BLOCK_BYTES`` of grid
+    steering, so no whole grid steering matrix is built."""
+    size = array.size
+    directions, weights = _pooled(grids)
+    form[...] = 0.0
+    if directions is None:
+        form[np.diag_indices(size)] = 1.0
+    else:
+        for block in _direction_blocks(weights.size, size):
+            grid = array.steering(directions[block, 0], directions[block, 1])
+            form += (grid.conj().T * weights[block]) @ grid
+    with np.errstate(over="ignore"):  # checked below
+        loading = LOADING * float(np.trace(form).real) / size
+    # the diagonal bounds every entry of the PSD form, so a finite trace
+    # means a finite form
+    if not math.isfinite(loading):
+        raise FloatingPointError("the interferer form overflows")
+    form[np.diag_indices(size)] += loading
+    return loading
+
+
+def _solved(users: np.ndarray, forms: np.ndarray, loadings: list[float]):
+    """Yield (weights, loading) for each loaded form of the (D, size, size)
+    stack, in order, from one stacked ``solve`` and one stacked ``eigh``.
+    Both run the same LAPACK call per matrix as on a lone (size, size)
+    form, so each design gets the bits it gets alone."""
+    if not loadings:
+        return
+    # a 3-D right-hand side: numpy reads a 1-D b differently across versions
+    rhs = np.broadcast_to(users.conj().T, (len(loadings), *users.T.shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is checked below
+        solved = np.linalg.solve(forms, rhs)
+        _, vectors = np.linalg.eigh(users @ solved)
+    for x, v, loading in zip(solved, vectors, loadings):
+        with np.errstate(over="ignore", invalid="ignore"):
+            best = x @ v[:, -1]
+            norm = np.linalg.norm(best)
+        if norm == 0.0:
+            raise FloatingPointError(f"the design's norm is {norm}")
+        if not norm < math.inf:  # inf, or nan from inf - inf
+            raise _TinyDensityError(f"the design's norm is {norm}")
+        yield WeightVector(best / norm), loading
+
+
+def _designs(array: ArrayModel, users: np.ndarray, grid_lists):
+    """Yield (weights, loading) for each interferer grid list of
+    ``grid_lists``, in order, all designed against the same (K, size) user
+    steering rows ``users``.
+
+    The lists are read lazily. Their loaded forms are stacked up to about
+    ``_BLOCK_BYTES`` (at least one form) and solved together by
+    ``_solved``, so memory stays that of one form where forms are large. A
+    design that fails raises its error when it is reached, after every
+    earlier design has been yielded; reading a grid list may fail too, and
+    counts as that design's failure. So a caller that takes the designs in
+    order meets the failure that designing each one alone would meet first.
+    """
+    size = array.size
+    capacity = max(1, _BLOCK_BYTES // (16 * size * size))
+    forms = np.empty((capacity, size, size), dtype=complex)
+    lists = iter(grid_lists)
+    while True:
+        loadings, failure = [], None
+        try:
+            for grids in itertools.islice(lists, capacity):
+                loadings.append(_load_form(array, grids, forms[len(loadings)]))
+        except ArithmeticError as exc:  # raised once the designs before it are out
+            failure = exc
+        yield from _solved(users, forms[: len(loadings)], loadings)
+        if failure is not None:
+            raise failure
+        if len(loadings) < capacity:
+            return
+
+
 def optimize(obj: Objective) -> OptimizationResult:
     """Weights maximising w^H A w / w^H (B + delta I) w, at unit norm.
 
@@ -173,41 +273,15 @@ def optimize(obj: Objective) -> OptimizationResult:
     K x K form U X, and w = X c. B is added up over blocks of about
     ``array._BLOCK_BYTES`` of grid steering, so no whole grid steering
     matrix is built, and the design is scored with one more blocked pass
-    over the grid. Deterministic.
+    over the grid. This is the one-design case of the path that designs a
+    sweep's sigma_s values together, plus that scoring pass. Deterministic.
 
     Raises ``FloatingPointError`` when the interferer form overflows or
     the design's norm is not a positive finite number, as happens when the
     grid's densities are near the limits of double precision; a norm that
     overflows, from densities too small, raises it as ``_TinyDensityError``.
     """
-    size = obj.array.size
-    users = obj._user_steering
-    if obj._grid_directions is None:
-        interferer_form = np.eye(size, dtype=complex)
-    else:
-        directions, weights = obj._grid_directions, obj._grid_weights
-        interferer_form = np.zeros((size, size), dtype=complex)
-        for block in _direction_blocks(weights.size, size):
-            grid = obj.array.steering(directions[block, 0], directions[block, 1])
-            interferer_form += (grid.conj().T * weights[block]) @ grid
-    with np.errstate(over="ignore"):  # checked below
-        loading = LOADING * float(np.trace(interferer_form).real) / size
-    # the diagonal bounds every entry of the PSD form, so a finite trace
-    # means a finite form
-    if not math.isfinite(loading):
-        raise FloatingPointError("the interferer form overflows")
-    interferer_form[np.diag_indices(size)] += loading
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is checked below
-        solved = np.linalg.solve(interferer_form, users.conj().T)
-        _, vectors = np.linalg.eigh(users @ solved)
-        best = solved @ vectors[:, -1]
-        norm = np.linalg.norm(best)
-    if norm == 0.0:
-        raise FloatingPointError(f"the design's norm is {norm}")
-    if not norm < math.inf:  # inf, or nan from inf - inf
-        raise _TinyDensityError(f"the design's norm is {norm}")
-    weights = WeightVector(best / norm)
-
+    weights, loading = next(_designs(obj.array, obj._user_steering, [obj.interferer_grids]))
     numerator, denominator = obj._terms(weights)
     clamped = denominator is not None and bool(denominator[0] <= EPS_DEN)
     psi = float(numerator[0] if denominator is None else numerator[0] / max(denominator[0], EPS_DEN))

@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .array import _BLOCK_BYTES, ArrayModel, Direction, WeightVector, _weight_values, gains
 from .geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
-from .optimizer import EPS_DEN, Objective, OptimizationResult, optimize
+from .optimizer import EPS_DEN, Objective, OptimizationResult, _designs, optimize
 from .uncertainty import InterfererBelief, NullSampleGrid, _TinyDensityError, build_grid
 
 __all__ = [
@@ -132,15 +134,37 @@ class Scenario:
             raise ValueError("seed must be >= 0")
 
     def user_directions(self) -> tuple[Direction, ...]:
-        return tuple(self._as_direction(u) for u in self.users)
+        """The users' directions in the array frame. Ground points are
+        resolved on the first call, whose result every later call and every
+        ``with_sigma_s`` copy made after it share; a target beyond the
+        horizon raises :class:`VisibilityError` then, not at load time."""
+        return self._resolved_users
 
     def interferer_directions(self) -> tuple[Direction, ...]:
-        return tuple(self._as_direction(j.position) for j in self.interferers)
+        """The interferers' nominal directions in the array frame, resolved
+        once as :meth:`user_directions` is."""
+        return self._resolved_interferers
 
     def with_sigma_s(self, sigma_s: float) -> "Scenario":
-        """Copy of the scenario with every interferer's shaping replaced."""
+        """Copy of the scenario with every interferer's shaping replaced.
+
+        No position changes, so the copy shares the directions this
+        scenario has already resolved. A copy made by ``replace`` with any
+        other change resolves its own."""
         sites = tuple(replace(j, sigma_s=sigma_s) for j in self.interferers)
-        return replace(self, interferers=sites)
+        copy = replace(self, interferers=sites)
+        for name in ("_resolved_users", "_resolved_interferers"):
+            if name in self.__dict__:
+                copy.__dict__[name] = self.__dict__[name]
+        return copy
+
+    @cached_property
+    def _resolved_users(self) -> tuple[Direction, ...]:
+        return tuple(self._as_direction(u) for u in self.users)
+
+    @cached_property
+    def _resolved_interferers(self) -> tuple[Direction, ...]:
+        return tuple(self._as_direction(j.position) for j in self.interferers)
 
     def _as_direction(self, position) -> Direction:
         if isinstance(position, Direction):
@@ -178,14 +202,42 @@ def geodetic_to_direction(sat: GeodeticPosition, target: GeodeticPosition) -> Di
     return Direction(off_nadir, azimuth % (2.0 * math.pi))
 
 
-def build_objective(sc: Scenario) -> Objective:
-    """Assemble the design objective: shaped grids from each interferer's
-    belief with (sigma_theta, sigma_phi) both equal to its sigma_s."""
+def _interferer_grids(sc: Scenario) -> list[NullSampleGrid]:
+    """Shaped grid of each interferer's belief, with (sigma_theta,
+    sigma_phi) both equal to its sigma_s."""
     grids = []
     for site, mean in zip(sc.interferers, sc.interferer_directions()):
         belief = InterfererBelief.isotropic(mean.theta, mean.phi, site.sigma_s)
         grids.append(build_grid(belief, sc.samples_per_axis, sc.kappa))
-    return Objective(sc.array, sc.user_directions(), grids)
+    return grids
+
+
+def build_objective(sc: Scenario) -> Objective:
+    """Assemble the design objective: shaped grids from each interferer's
+    belief with (sigma_theta, sigma_phi) both equal to its sigma_s."""
+    return Objective(sc.array, sc.user_directions(), _interferer_grids(sc))
+
+
+@contextmanager
+def _sigma_s_refusal(sc: Scenario):
+    """Turn an ``ArithmeticError`` from designing ``sc`` into the
+    :class:`UnsupportedScenarioError` that names its sigma_s (see
+    :func:`design_weights`); without a positive sigma_s it passes as is."""
+    try:
+        yield
+    except ArithmeticError as exc:  # OverflowError or FloatingPointError
+        sigmas_deg = [math.degrees(j.sigma_s) for j in sc.interferers if j.sigma_s > 0.0]
+        if not sigmas_deg:
+            raise
+        # every grid's densities are the same profile over sigma_s^2, so the
+        # largest sigma_s holds the smallest density and the smallest the largest
+        if isinstance(exc, _TinyDensityError):  # a density underflow or a norm overflow
+            raise UnsupportedScenarioError(
+                f"sigma_s = {max(sigmas_deg):g} deg is too large to design in double precision "
+                f"({exc})") from exc
+        raise UnsupportedScenarioError(
+            f"sigma_s = {min(sigmas_deg):g} deg is too small to design in double precision "
+            f"({exc}); use sigma_s = 0 for a point-mass design") from exc
 
 
 def design_weights(sc: Scenario) -> OptimizationResult:
@@ -200,21 +252,32 @@ def design_weights(sc: Scenario) -> OptimizationResult:
     underflow or a norm overflow names the largest positive sigma_s as too
     large; any other failure names the smallest as too small.
     """
-    try:
+    with _sigma_s_refusal(sc):
         return optimize(build_objective(sc))
-    except ArithmeticError as exc:  # OverflowError or FloatingPointError
-        sigmas_deg = [math.degrees(j.sigma_s) for j in sc.interferers if j.sigma_s > 0.0]
-        if not sigmas_deg:
-            raise
-        # every grid's densities are the same profile over sigma_s^2, so the
-        # largest sigma_s holds the smallest density and the smallest the largest
-        if isinstance(exc, _TinyDensityError):  # a density underflow or a norm overflow
-            raise UnsupportedScenarioError(
-                f"sigma_s = {max(sigmas_deg):g} deg is too large to design in double precision "
-                f"({exc})") from exc
-        raise UnsupportedScenarioError(
-            f"sigma_s = {min(sigmas_deg):g} deg is too small to design in double precision "
-            f"({exc}); use sigma_s = 0 for a point-mass design") from exc
+
+
+def _sweep_weights(sc: Scenario, sigmas_s) -> list[WeightVector]:
+    """``design_weights(sc.with_sigma_s(s)).weights`` for each sigma_s
+    (radians) of ``sigmas_s``, bit for bit, designed in one pass.
+
+    The scenario's directions are resolved once and the users steered
+    once; each design's interferer form is built as ``optimize`` builds
+    it, and one stacked solve serves the designs (see
+    ``optimizer._designs``). Nothing is scored, so no design's psi is
+    computed. When designs fail, the first failing one raises the error
+    :func:`design_weights` gives it alone.
+    """
+    # resolve in build_objective's order before copying, so every copy
+    # shares the directions
+    sc.interferer_directions()
+    users = Objective(sc.array, sc.user_directions())._user_steering
+    designs = [sc.with_sigma_s(s) for s in sigmas_s]
+    designed = _designs(sc.array, users, (_interferer_grids(d) for d in designs))
+    weights = []
+    for design in designs:
+        with _sigma_s_refusal(design):
+            weights.append(next(designed)[0])
+    return weights
 
 
 @dataclass(frozen=True)

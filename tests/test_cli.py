@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nullshaper.simulation
 from nullshaper import __version__
 from nullshaper.array import null_width
 from nullshaper import cli
@@ -674,3 +675,68 @@ class TestHugeSigmaS:
         assert main(["optimize", "--scenario", str(scenario_path), "--out", str(out)]) == 3
         assert capsys.readouterr().err == "runtime error: " + refusal
         assert not list(out.iterdir())
+
+
+class TestSweepDesignsTogether:
+    """``sweep`` designs its sigma_s values in one pass, with the outputs
+    and refusals of designing them one at a time."""
+
+    @pytest.mark.parametrize("sigma_s, refusal", [
+        # the first design's norm underflows; the second's density would overflow
+        ("1e-100,1e-160", "sigma_s = 1e-100 deg is too small to design in double precision ("
+                          "the design's norm is 0.0); use sigma_s = 0 for a point-mass design\n"),
+        ("1e+100,1e-100", "sigma_s = 1e+100 deg is too large to design in double precision ("
+                          "the design's norm is inf)\n"),
+        ("0,1e-160", "sigma_s = 1e-160 deg is too small to design in double precision ("
+                     "the grid's density overflows); use sigma_s = 0 for a point-mass design\n"),
+    ], ids=["norm_underflow_first", "norm_overflow_first", "density_overflow_second"])
+    def test_first_failing_design_is_named(self, sigma_s, refusal, scenario_path, tmp_path,
+                                           capsys):
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                     "--sigma-s", sigma_s, "--trials", "5", "--format", "both"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "runtime error: " + refusal
+        assert not list(out.iterdir())
+
+    def test_four_designs_resolve_each_ground_point_once(self, monkeypatch, tmp_path):
+        calls = []
+        original = nullshaper.simulation.geodetic_to_direction
+
+        def counted(sat, target):
+            calls.append(target)
+            return original(sat, target)
+
+        monkeypatch.setattr(nullshaper.simulation, "geodetic_to_direction", counted)
+        scenario = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "leo_capacity.json"
+        assert main(["sweep", "--scenario", str(scenario), "--out", str(tmp_path / "o"),
+                     "--sigma-s", "0,0.1,0.3,0.5", "--trials", "20", "--capacity"]) == 0
+        assert len(calls) == 2  # one user and one interferer, both ground points
+
+    def test_beyond_horizon_interferer_fails_only_where_it_is_resolved(
+            self, scenario_path, tmp_path, capsys):
+        raw = json.loads(scenario_path.read_text())
+        raw["interferers"][0].update(lon_deg=-41.5, lat_deg=19.0)
+        scenario_path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                     "--trials", "5"]) == 3
+        assert capsys.readouterr().err == (
+            "runtime error: satellite below the target's horizon; target is not visible\n")
+        assert not list(out.iterdir())
+        # an explicit ray never resolves the interferer
+        assert main(["geodesy", "--scenario", str(scenario_path), "--out", str(tmp_path / "g"),
+                     "--expected-azimuth-deg", "30", "--expected-elevation-deg", "-60"]) == 0
+
+    def test_design_rows_do_not_depend_on_the_designs_beside_it(self, scenario_path, tmp_path):
+        outs = {}
+        for name, sigma_s in (("four", "0,0.1,0.3,0.5"), ("two", "0,0.3"), ("one", "0.3")):
+            out = tmp_path / name
+            assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                         "--sigma-s", sigma_s, "--trials", "20", "--capacity"]) == 0
+            outs[name] = written(out)
+        for name in ("sweep_sigmas_0.3.csv", "capacity_0.3.csv"):
+            assert outs["four"][name] == outs["two"][name]
+        # alone, the sigma_s = 0.3 design has no baseline and so no crossover footer
+        assert outs["one"]["capacity_0.3.csv"] == outs["four"]["capacity_0.3.csv"]

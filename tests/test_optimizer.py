@@ -103,6 +103,19 @@ class TestMitigationEffectiveness:
             obj.array, w, grid
         )
 
+    def test_batch_rows_equal_lone_values_with_ten_users(self):
+        # from 8 users numpy sums a (K, S) column in a different order from a
+        # lone row, and a (Z,) @ (Z, S) product rounds by S too
+        rng = np.random.default_rng(5)
+        arr = ArrayModel.half_wavelength(4, 4, WL)
+        users = [Direction(t, p) for t, p in zip(rng.uniform(0.0, 1.0, 10),
+                                                  rng.uniform(0.0, 2.0 * math.pi, 10))]
+        grid = build_grid(InterfererBelief.isotropic(0.2, 1.0, math.radians(1.0)), 3, 1)
+        obj = Objective(arr, users, [grid])
+        rows = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        assert obj.value_batch(rows).tolist() == [obj.value(row) for row in rows]
+
 
 class TestOptimize:
     def test_matched_gain_without_interferers(self):

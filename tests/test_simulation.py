@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nullshaper.array
+import nullshaper.optimizer
 import nullshaper.simulation
 from nullshaper.array import ArrayModel, Direction, WeightVector, gain, gains
 from nullshaper.geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
@@ -18,6 +19,7 @@ from nullshaper.simulation import (
     ScenarioError,
     UnsupportedScenarioError,
     VisibilityError,
+    _sweep_weights,
     build_objective,
     capacity,
     crossover_sigma,
@@ -121,6 +123,120 @@ class TestDesignWeights:
         user_gain = gain(sc.array, result.weights, Direction(math.radians(30.0), 0.0))
         null_gain = gain(sc.array, result.weights, Direction(0.0, 0.0))
         assert 10 * math.log10(user_gain / max(null_gain, 1e-30)) > 40.0
+
+
+class TestSweepWeights:
+    """A sweep's designs, made in one pass, equal each design made alone."""
+
+    def assert_lone_designs(self, sc, sigmas_deg):
+        sigmas = [math.radians(s) for s in sigmas_deg]
+        batched = _sweep_weights(sc, sigmas)
+        assert len(batched) == len(sigmas)
+        for sigma_s, w in zip(sigmas, batched):
+            lone = design_weights(sc.with_sigma_s(sigma_s)).weights
+            assert np.array_equal(w.values, lone.values)
+
+    @pytest.mark.parametrize("sigmas_deg", [(0.0, 0.1, 0.3, 0.5), (0.5, 0.0, 1.0), (0.0,)])
+    def test_each_design_is_its_lone_design(self, sigmas_deg):
+        self.assert_lone_designs(make_scenario(), sigmas_deg)
+
+    def test_two_users_two_interferers(self):
+        sc = make_scenario()
+        second = InterfererSite(position=GeodeticPosition.from_degrees(140.0, -20.5))
+        sc = replace(sc, users=(USER, GeodeticPosition.from_degrees(137.0, -23.5)),
+                     interferers=sc.interferers + (second,))
+        self.assert_lone_designs(sc, (0.0, 0.2, 0.6))
+
+    @pytest.mark.parametrize("forms_per_stack", [1, 2, 4])
+    def test_blocked_forms_and_stacks(self, forms_per_stack, monkeypatch):
+        # 25 grid directions in blocks of 4, and the 4 designs solved in
+        # stacks of 1, 2 or 4 forms (4: the stack fills, then an empty round)
+        size = 64
+        monkeypatch.setattr(nullshaper.array, "_BLOCK_BYTES", 16 * size * 4)
+        monkeypatch.setattr(nullshaper.optimizer, "_BLOCK_BYTES", 16 * size * size * forms_per_stack)
+        self.assert_lone_designs(make_scenario(samples_per_axis=5), (0.0, 0.1, 0.3, 0.5))
+
+    def test_single_design_keeps_its_place_in_a_longer_list(self):
+        sc = make_scenario()
+        sigmas = [math.radians(s) for s in (0.0, 0.1, 0.3, 0.5)]
+        alone = _sweep_weights(sc, [sigmas[2]])[0]
+        assert np.array_equal(_sweep_weights(sc, sigmas)[2].values, alone.values)
+
+    @pytest.mark.parametrize("forms_per_stack", [1, 2, None])
+    @pytest.mark.parametrize("sigmas_deg, refusal", [
+        ((0.3, 1e-100, 1e-160), "sigma_s = 1e-100 deg is too small"),  # a norm underflows first
+        ((0.3, 1e-160, 1e-100), "sigma_s = 1e-160 deg is too small"),  # a density overflows first
+        ((1e100, 1e-100), "sigma_s = 1e+100 deg is too large"),
+    ])
+    def test_first_failing_design_is_refused(self, sigmas_deg, refusal, forms_per_stack,
+                                             monkeypatch):
+        if forms_per_stack is not None:
+            monkeypatch.setattr(nullshaper.optimizer, "_BLOCK_BYTES", 16 * 64 * 64 * forms_per_stack)
+        sc = make_scenario()
+        with pytest.raises(UnsupportedScenarioError) as lone:
+            for sigma_s in sigmas_deg:
+                design_weights(sc.with_sigma_s(math.radians(sigma_s)))
+        with pytest.raises(UnsupportedScenarioError) as batched:
+            _sweep_weights(sc, [math.radians(s) for s in sigmas_deg])
+        assert str(batched.value).startswith(refusal)
+        assert str(batched.value) == str(lone.value)
+
+
+class TestResolvedDirections:
+    """A scenario maps its ground points to directions once, on first use."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        original = nullshaper.simulation.geodetic_to_direction
+
+        def counted(sat, target):
+            calls.append(target)
+            return original(sat, target)
+
+        monkeypatch.setattr(nullshaper.simulation, "geodetic_to_direction", counted)
+        return calls
+
+    def test_resolved_once_and_shared_by_with_sigma_s(self, calls):
+        sc = make_scenario()
+        users, interferers = sc.user_directions(), sc.interferer_directions()
+        assert calls == [USER, INTERFERER]
+        copy = sc.with_sigma_s(math.radians(0.7))
+        assert copy.user_directions() is users and copy.interferer_directions() is interferers
+        assert sc.user_directions() is users
+        assert len(calls) == 2
+
+    def test_copy_before_resolution_resolves_its_own(self, calls):
+        sc = make_scenario()
+        copy = sc.with_sigma_s(0.0)
+        assert copy.interferer_directions() == sc.interferer_directions()
+        assert calls == [INTERFERER, INTERFERER]
+
+    def test_replace_resolves_afresh(self, calls):
+        sc = make_scenario()
+        sc.user_directions(), sc.interferer_directions()
+        moved_sat = GeodeticPosition.from_degrees(139.0, -21.0, 700e3)
+        moved = replace(sc, satellite=moved_sat)
+        assert moved.user_directions() == (geodetic_to_direction(moved_sat, USER),)
+        assert moved.user_directions() != sc.user_directions()
+        assert len(calls) == 3
+
+    def test_beyond_horizon_target_raises_on_use_not_on_load(self):
+        far = InterfererSite(position=GeodeticPosition.from_degrees(-41.5, 19.0))
+        sc = replace(make_scenario(), interferers=(far,))
+        assert sc.user_directions() == make_scenario().user_directions()
+        copy = sc.with_sigma_s(0.1)
+        for scenario in (sc, copy):
+            with pytest.raises(VisibilityError):
+                scenario.interferer_directions()
+            with pytest.raises(VisibilityError):
+                _sweep_weights(scenario, [0.0])
+
+    def test_sweep_resolves_each_ground_point_once(self, calls):
+        sc = make_scenario()
+        weights = _sweep_weights(sc, [math.radians(s) for s in (0.0, 0.1, 0.3, 0.5)])
+        monte_carlo_sweeps(sc, weights, [0.0, 0.01], trials=3)
+        assert calls == [INTERFERER, USER]
 
 
 class TestMonteCarloSweep:
