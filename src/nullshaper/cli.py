@@ -18,8 +18,8 @@ then a header row. Outputs are deterministic for a fixed scenario and
 seed, so re-running a command overwrites files with identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
-3 runtime error (missed rays, I/O failures, a sigma_s too small or too
-large to design in double precision).
+3 runtime error (missed rays, I/O failures, a --sigma-s whose radians
+underflow to 0).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .geodesy import (
 )
 from .simulation import (
     MAX_GRID_POINTS,
+    MAX_SIGMA_S_DEG,
     Scenario,
     ScenarioError,
     UnsupportedScenarioError,
@@ -301,8 +302,8 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
     # the crossover baseline exactly as 0 does
     sigma_s_list = args.sigma_s or [math.degrees(scenario.interferers[0].sigma_s)]
     sigma_s_list = [s + 0.0 for s in sigma_s_list]
-    if min(sigma_s_list) < 0:
-        raise _UsageError("--sigma-s values must be >= 0")
+    if min(sigma_s_list) < 0 or max(sigma_s_list) > MAX_SIGMA_S_DEG:
+        raise _UsageError(f"--sigma-s values must be between 0 and {MAX_SIGMA_S_DEG}")
     if len({_sigma_value_token(s) for s in sigma_s_list}) < len(sigma_s_list):
         raise _UsageError("--sigma-s values must differ at %g precision, which names their files")
     sigma_i_deg = _grid_deg(args.sigma_i_max, args.sigma_i_step, "sigma-i")
@@ -313,8 +314,8 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
     vanishing = [s for s in sigma_s_list if s > 0.0 and math.radians(s) == 0.0]
     if vanishing:
         raise UnsupportedScenarioError(
-            f"sigma_s = {min(vanishing):g} deg is too small to design in double precision "
-            "(its radians underflow to 0); use sigma_s = 0 for a point-mass design")
+            f"sigma_s = {min(vanishing):g} deg underflows to 0 rad and would design as "
+            "sigma_s = 0; use sigma_s = 0 for a point-mass design")
 
     sigma_i_rad = [math.radians(s) for s in sigma_i_deg]
 

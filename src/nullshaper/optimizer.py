@@ -7,9 +7,13 @@ a direction, both are Hermitian quadratic forms in the weights,
     psi(w) = w^H A w / w^H B w,   A = mean_k s_k^H s_k,
                                   B = sum_z p_z s_z^H s_z / J,
 
-so the maximiser is the principal generalized eigenvector of (A, B), and
-no search is needed. B has rank at most the number of grid directions,
-usually fewer than the elements, so it is diagonally loaded first: the
+where the weights p_z of each interferer's grid from
+``uncertainty.build_grid`` sum to one, so B is the mean over interferers
+of the expected steering outer product and its trace is the element
+count whatever sigma_s is. The maximiser is the principal generalized
+eigenvector of (A, B), so no search is needed. B has rank at most the
+number of grid directions, usually fewer than the elements, so it is
+diagonally loaded first: the
 design is the loaded-covariance beamformer of Cox, Zeskind & Owen
 ("Robust adaptive beamforming", IEEE T-ASSP 1987) and Carlson
 ("Covariance matrix estimation errors and diagonal loading", IEEE T-AES
@@ -50,7 +54,7 @@ from .array import (
     _weight_values,
     gains,
 )
-from .uncertainty import NullSampleGrid, _TinyDensityError
+from .uncertainty import NullSampleGrid
 
 __all__ = [
     "EPS_DEN",
@@ -201,12 +205,7 @@ def _load_form(array: ArrayModel, grids, form: np.ndarray) -> float:
         for block in _direction_blocks(weights.size, size):
             grid = array.steering(directions[block, 0], directions[block, 1])
             form += (grid.conj().T * weights[block]) @ grid
-    with np.errstate(over="ignore"):  # checked below
-        loading = LOADING * float(np.trace(form).real) / size
-    # the diagonal bounds every entry of the PSD form, so a finite trace
-    # means a finite form
-    if not math.isfinite(loading):
-        raise FloatingPointError("the interferer form overflows")
+    loading = LOADING * float(np.trace(form).real) / size
     form[np.diag_indices(size)] += loading
     return loading
 
@@ -220,18 +219,11 @@ def _solved(users: np.ndarray, forms: np.ndarray, loadings: list[float]):
         return
     # a 3-D right-hand side: numpy reads a 1-D b differently across versions
     rhs = np.broadcast_to(users.conj().T, (len(loadings), *users.T.shape))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is checked below
-        solved = np.linalg.solve(forms, rhs)
-        _, vectors = np.linalg.eigh(users @ solved)
+    solved = np.linalg.solve(forms, rhs)
+    _, vectors = np.linalg.eigh(users @ solved)
     for x, v, loading in zip(solved, vectors, loadings):
-        with np.errstate(over="ignore", invalid="ignore"):
-            best = x @ v[:, -1]
-            norm = np.linalg.norm(best)
-        if norm == 0.0:
-            raise FloatingPointError(f"the design's norm is {norm}")
-        if not norm < math.inf:  # inf, or nan from inf - inf
-            raise _TinyDensityError(f"the design's norm is {norm}")
-        yield WeightVector(best / norm), loading
+        best = x @ v[:, -1]
+        yield WeightVector(best / np.linalg.norm(best)), loading
 
 
 def _designs(array: ArrayModel, users: np.ndarray, grid_lists):
@@ -241,26 +233,20 @@ def _designs(array: ArrayModel, users: np.ndarray, grid_lists):
 
     The lists are read lazily. Their loaded forms are stacked up to about
     ``_BLOCK_BYTES`` (at least one form) and solved together by
-    ``_solved``, so memory stays that of one form where forms are large. A
-    design that fails raises its error when it is reached, after every
-    earlier design has been yielded; reading a grid list may fail too, and
-    counts as that design's failure. So a caller that takes the designs in
-    order meets the failure that designing each one alone would meet first.
+    ``_solved``, so memory stays that of one form where forms are large.
+    The weights of a grid from ``build_grid`` sum to one, so the form's
+    trace is the element count and no sigma_s takes the design out of
+    double precision.
     """
     size = array.size
     capacity = max(1, _BLOCK_BYTES // (16 * size * size))
     forms = np.empty((capacity, size, size), dtype=complex)
     lists = iter(grid_lists)
     while True:
-        loadings, failure = [], None
-        try:
-            for grids in itertools.islice(lists, capacity):
-                loadings.append(_load_form(array, grids, forms[len(loadings)]))
-        except ArithmeticError as exc:  # raised once the designs before it are out
-            failure = exc
+        loadings = []
+        for grids in itertools.islice(lists, capacity):
+            loadings.append(_load_form(array, grids, forms[len(loadings)]))
         yield from _solved(users, forms[: len(loadings)], loadings)
-        if failure is not None:
-            raise failure
         if len(loadings) < capacity:
             return
 
@@ -275,11 +261,6 @@ def optimize(obj: Objective) -> OptimizationResult:
     matrix is built, and the design is scored with one more blocked pass
     over the grid. This is the one-design case of the path that designs a
     sweep's sigma_s values together, plus that scoring pass. Deterministic.
-
-    Raises ``FloatingPointError`` when the interferer form overflows or
-    the design's norm is not a positive finite number, as happens when the
-    grid's densities are near the limits of double precision; a norm that
-    overflows, from densities too small, raises it as ``_TinyDensityError``.
     """
     weights, loading = next(_designs(obj.array, obj._user_steering, [obj.interferer_grids]))
     numerator, denominator = obj._terms(weights)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -33,7 +32,7 @@ import numpy as np
 from .array import _BLOCK_BYTES, ArrayModel, Direction, WeightVector, _weight_values, gains
 from .geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
 from .optimizer import EPS_DEN, Objective, OptimizationResult, _designs, optimize
-from .uncertainty import InterfererBelief, NullSampleGrid, _TinyDensityError, build_grid
+from .uncertainty import InterfererBelief, NullSampleGrid, build_grid
 
 __all__ = [
     "VisibilityError",
@@ -62,6 +61,9 @@ MAX_SAMPLES_PER_AXIS = math.isqrt(MAX_GRID_POINTS)
 #: Largest shaping kappa. Grid corners weigh exp(-kappa^2) of the centre:
 #: e^-100 at this cap, and zero, an invalid grid, by kappa = 28.
 MAX_KAPPA = 10
+#: Largest shaping sigma_s in degrees: a belief wider than half a turn says
+#: nothing about where the interferer is.
+MAX_SIGMA_S_DEG = 180
 
 
 class VisibilityError(ValueError):
@@ -74,7 +76,8 @@ class ScenarioError(ValueError):
 
 class UnsupportedScenarioError(ValueError):
     """Metric undefined for this scenario shape (e.g. capacity with K > 1),
-    or a design that double precision cannot hold (a tiny or huge sigma_s)."""
+    or a sweep design whose sigma_s would run as another (its radians
+    underflow to 0)."""
 
 
 @dataclass(frozen=True)
@@ -96,16 +99,18 @@ class InterfererSite:
     """Interferer nominal location plus its shaping spread (radians).
 
     ``position`` is either a ground point or a direction in the array
-    frame; sigma_s is the design-time uncertainty. The deviations a sweep
-    draws realised positions with are the sweep's own sigma_i grid.
+    frame; sigma_s is the design-time uncertainty, from 0 to
+    ``MAX_SIGMA_S_DEG`` in radians. The deviations a sweep draws realised
+    positions with are the sweep's own sigma_i grid.
     """
 
     position: GeodeticPosition | Direction
     sigma_s: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_s) and self.sigma_s >= 0.0):
-            raise ValueError("sigma_s must be finite and >= 0")
+        if not 0.0 <= self.sigma_s <= math.radians(MAX_SIGMA_S_DEG):
+            raise ValueError(f"sigma_s must be between 0 and {MAX_SIGMA_S_DEG} deg, "
+                             f"got {math.degrees(self.sigma_s):g}")
 
 
 @dataclass(frozen=True)
@@ -218,42 +223,16 @@ def build_objective(sc: Scenario) -> Objective:
     return Objective(sc.array, sc.user_directions(), _interferer_grids(sc))
 
 
-@contextmanager
-def _sigma_s_refusal(sc: Scenario):
-    """Turn an ``ArithmeticError`` from designing ``sc`` into the
-    :class:`UnsupportedScenarioError` that names its sigma_s (see
-    :func:`design_weights`); without a positive sigma_s it passes as is."""
-    try:
-        yield
-    except ArithmeticError as exc:  # OverflowError or FloatingPointError
-        sigmas_deg = [math.degrees(j.sigma_s) for j in sc.interferers if j.sigma_s > 0.0]
-        if not sigmas_deg:
-            raise
-        # every grid's densities are the same profile over sigma_s^2, so the
-        # largest sigma_s holds the smallest density and the smallest the largest
-        if isinstance(exc, _TinyDensityError):  # a density underflow or a norm overflow
-            raise UnsupportedScenarioError(
-                f"sigma_s = {max(sigmas_deg):g} deg is too large to design in double precision "
-                f"({exc})") from exc
-        raise UnsupportedScenarioError(
-            f"sigma_s = {min(sigmas_deg):g} deg is too small to design in double precision "
-            f"({exc}); use sigma_s = 0 for a point-mass design") from exc
-
-
 def design_weights(sc: Scenario) -> OptimizationResult:
     """Design beamforming weights for the scenario's shaped objective.
 
-    Raises :class:`UnsupportedScenarioError` naming sigma_s when the grid
-    densities, which scale as 1 / sigma_s^2, take the design out of double
-    precision. On ``leo_capacity.json`` the design's norm underflows below
-    about sigma_s = 1e-83 deg, and the densities or their sum overflow
-    below about 1e-152 deg; the norm overflows above about 1e75 deg, and
-    the densities underflow to 0 above about 1e162 deg. A density
-    underflow or a norm overflow names the largest positive sigma_s as too
-    large; any other failure names the smallest as too small.
+    Each grid's weights sum to one, so the design and its psi are
+    comparable across sigma_s. As sigma_s shrinks, the grid closes on the
+    mean and the design tends to the sigma_s = 0 point design: on
+    ``leo_capacity.json`` every sigma_s of 1e-7 deg or less reaches its
+    clamped psi. psi need not rise monotonically on the way there.
     """
-    with _sigma_s_refusal(sc):
-        return optimize(build_objective(sc))
+    return optimize(build_objective(sc))
 
 
 def _sweep_weights(sc: Scenario, sigmas_s) -> list[WeightVector]:
@@ -264,20 +243,14 @@ def _sweep_weights(sc: Scenario, sigmas_s) -> list[WeightVector]:
     once; each design's interferer form is built as ``optimize`` builds
     it, and one stacked solve serves the designs (see
     ``optimizer._designs``). Nothing is scored, so no design's psi is
-    computed. When designs fail, the first failing one raises the error
-    :func:`design_weights` gives it alone.
+    computed.
     """
     # resolve in build_objective's order before copying, so every copy
     # shares the directions
     sc.interferer_directions()
     users = Objective(sc.array, sc.user_directions())._user_steering
-    designs = [sc.with_sigma_s(s) for s in sigmas_s]
-    designed = _designs(sc.array, users, (_interferer_grids(d) for d in designs))
-    weights = []
-    for design in designs:
-        with _sigma_s_refusal(design):
-            weights.append(next(designed)[0])
-    return weights
+    designs = (_interferer_grids(sc.with_sigma_s(s)) for s in sigmas_s)
+    return [w for w, _ in _designs(sc.array, users, designs)]
 
 
 @dataclass(frozen=True)

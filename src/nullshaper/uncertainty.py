@@ -4,8 +4,10 @@ used to shape nulls over its uncertainty region.
 The interferer's (theta, phi) direction is believed to follow an
 uncorrelated bivariate normal. Null shaping samples that belief on an
 L x L grid spanning +/- kappa standard deviations per axis and weights
-each sample direction by the density there, so the optimizer suppresses
-gain where the interferer is most likely to be.
+each sample direction by its share of the belief there, so the optimizer
+suppresses gain where the interferer is most likely to be. The weights
+sum to one: the grid is a quadrature rule of the belief, and a weighted
+gain is the expected gain under it, comparable across sigma.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ __all__ = [
     "build_grid",
     "weighted_interferer_gain",
 ]
-
-
-class _TinyDensityError(FloatingPointError):
-    """Grid densities too small for double precision: a density underflows
-    to 0, or the design they weight has a norm that overflows."""
 
 
 @dataclass(frozen=True)
@@ -96,18 +93,15 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
     """Sample the belief on an endpoint-inclusive L x L grid over
     [mean - kappa sigma, mean + kappa sigma] per axis.
 
-    Weights are the raw density values at the sample directions. Degenerate
-    cases collapse instead of erroring: a point-mass belief (both sigmas
-    zero) or L = 1 yields a single sample of weight one. A zero sigma puts
-    every sample of its axis on the mean and contributes no density
-    factor. kappa = 0 also puts every sample on the mean, but each axis
-    with sigma > 0 still contributes its peak density 1/(sqrt(2 pi) sigma):
-    with both sigmas positive the grid holds L^2 copies of the mean
-    direction, each weighted 1/(2 pi sigma_theta sigma_phi).
-
-    Raises ``OverflowError`` when a sigma is so small that a density
-    value overflows, and ``FloatingPointError`` (a ``_TinyDensityError``)
-    when one is so large that a density value underflows to 0.
+    Weights are the product over both axes of exp(-z^2 / 2), z the
+    sample's offset from the mean in standard deviations, divided by their
+    sum, so they sum to one whatever the sigmas. Degenerate cases collapse
+    instead of erroring: a point-mass belief (both sigmas zero) or L = 1
+    yields a single sample of weight one. A zero sigma puts every sample of
+    its axis on the mean and contributes no factor. kappa = 0 also puts
+    every sample on the mean: the grid holds L^2 copies of the mean
+    direction, each weighted 1 / L^2, so it is the point mass at the mean
+    split into equal parts.
     """
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")
@@ -135,17 +129,13 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
     ):
         if sigma > 0.0:
             z = (axis_values - mean) / sigma
-            with np.errstate(over="ignore"):  # checked below
-                weights = weights * np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * sigma)
-    if not np.isfinite(weights).all():
-        raise OverflowError("the grid's density overflows")
-    if not (weights > 0.0).all():
-        raise _TinyDensityError("the grid's density underflows to 0")
-    return NullSampleGrid(directions, weights)
+            weights = weights * np.exp(-0.5 * z**2)
+    return NullSampleGrid(directions, weights / weights.sum())
 
 
 def weighted_interferer_gain(arr: ArrayModel, w, grid: NullSampleGrid) -> float:
     """Probability-weighted array gain over the grid,
-    sum_z p_z * G(theta_z, phi_z)."""
+    sum_z p_z * G(theta_z, phi_z). On a grid from :func:`build_grid`,
+    whose weights sum to one, this is the gain expected under the belief."""
     return float(grid.weights @ gains(arr, w, grid.thetas, grid.phis))
 

@@ -594,8 +594,10 @@ class TestWriteCsvStreaming:
 
 
 class TestTinySigmaS:
-    """A sigma_s so small that its grid densities leave double precision is
-    a one-line runtime error that names it, and no file is written."""
+    """A sigma_s too small to widen the grid designs as the point design:
+    its psi is the sigma_s = 0 design's, clamped. Only a --sigma-s whose
+    radians underflow to 0 is refused, since it would run as sigma_s = 0
+    under another name."""
 
     def assert_refused(self, argv, sigma_s, out, capsys):
         assert main(argv) == 3
@@ -605,12 +607,17 @@ class TestTinySigmaS:
         assert captured.err.count("\n") == 1
         assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("sigma_s", ["1e-100", "1e-160"])  # norm underflow, density overflow
-    def test_sweep(self, sigma_s, scenario_path, tmp_path, capsys):
+    @pytest.mark.parametrize("sigma_s", ["1e-100", "1e-160"])
+    def test_sweep(self, sigma_s, scenario_path, tmp_path):
         out = tmp_path / "o"
-        self.assert_refused(["sweep", "--scenario", str(scenario_path), "--out", str(out),
-                             "--sigma-s", sigma_s, "--trials", "5", "--format", "both"],
-                            sigma_s, out, capsys)
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                     "--sigma-s", "0," + sigma_s, "--trials", "5", "--format", "both"]) == 0
+        # at sigma_i = 0 every trial meets the design's own null, clamped
+        # for both designs; their weights differ only by rounding
+        point, tiny = (float(read_lines(out / f"sweep_sigmas_{s}.csv")[2].split(",")[1])
+                       for s in ("0", sigma_s))
+        assert tiny == pytest.approx(point, abs=1e-9)
+        assert point == pytest.approx(192.008, abs=1e-3)
 
     @pytest.mark.parametrize("sigma_s", ["1e-322", "0,1e-322"])
     def test_sweep_radians_underflow(self, sigma_s, scenario_path, tmp_path, capsys):
@@ -621,84 +628,85 @@ class TestTinySigmaS:
                             "9.88131e-323", out, capsys)
 
     def test_optimize_scenario_file(self, scenario_path, tmp_path, capsys):
-        raw = json.loads(scenario_path.read_text())
-        raw["interferers"][0]["sigma_s_deg"] = 1e-160
-        scenario_path.write_text(json.dumps(raw))
-        out = tmp_path / "o"
-        self.assert_refused(["optimize", "--scenario", str(scenario_path), "--out", str(out)],
-                            "1e-160", out, capsys)
+        summaries = {}
+        for sigma_s in (0.0, 1e-160):
+            raw = json.loads(scenario_path.read_text())
+            raw["interferers"][0]["sigma_s_deg"] = sigma_s
+            scenario_path.write_text(json.dumps(raw))
+            assert main(["optimize", "--scenario", str(scenario_path),
+                         "--out", str(tmp_path / str(sigma_s))]) == 0
+            summaries[sigma_s] = capsys.readouterr().out.splitlines()[-1].split(" wall_time_s=")[0]
+        assert summaries[1e-160] == summaries[0.0]
+        assert summaries[0.0] == "psi_db=192.008 evaluations=1 loading=1.000e-08 clamped=True"
 
 
 class TestHugeSigmaS:
-    """A sigma_s so large that the design leaves double precision is the
-    same one-line runtime error, saying it is too large."""
+    """sigma_s is capped at ``MAX_SIGMA_S_DEG`` = 180 deg. A larger
+    --sigma-s is a usage error and a larger scenario value a validation
+    error, refused before anything is designed or written."""
 
-    def assert_refused(self, argv, sigma_s, out, capsys):
-        assert main(argv) == 3
+    def assert_refused(self, argv, code, message, out, capsys):
+        assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            "runtime error: sigma_s = %s deg is too large to design in double precision (" % sigma_s)
-        assert captured.err.count("\n") == 1
-        assert not list(out.iterdir())
+        assert captured.err == message
+        assert not out.exists() or not list(out.iterdir())
 
-    @pytest.mark.parametrize("sigma_s", ["1e+100", "1e+308"])  # norm overflow, density underflow
+    def with_sigmas(self, scenario_path, sigmas):
+        raw = json.loads(scenario_path.read_text())
+        raw["interferers"] = [dict(raw["interferers"][0], sigma_s_deg=s) for s in sigmas]
+        if len(sigmas) > 1:
+            raw["interferers"][1].update(lon_deg=140.0, lat_deg=-25.0)
+        scenario_path.write_text(json.dumps(raw))
+
+    @pytest.mark.parametrize("sigma_s", ["1e+100", "1e+308"])
     def test_sweep(self, sigma_s, scenario_path, tmp_path, capsys):
         out = tmp_path / "o"
         self.assert_refused(["sweep", "--scenario", str(scenario_path), "--out", str(out),
-                             "--sigma-s", sigma_s, "--trials", "5", "--format", "both"],
-                            sigma_s, out, capsys)
+                             "--sigma-s", "0," + sigma_s, "--trials", "5", "--format", "both"],
+                            1, "usage error: --sigma-s values must be between 0 and 180\n",
+                            out, capsys)
 
     def test_optimize_scenario_file(self, scenario_path, tmp_path, capsys):
-        raw = json.loads(scenario_path.read_text())
-        raw["interferers"][0]["sigma_s_deg"] = 1e308
-        scenario_path.write_text(json.dumps(raw))
+        self.with_sigmas(scenario_path, [1e308])
         out = tmp_path / "o"
         self.assert_refused(["optimize", "--scenario", str(scenario_path), "--out", str(out)],
-                            "1e+308", out, capsys)
+                            2, "scenario error: invalid scenario: sigma_s must be between 0 and "
+                               "180 deg, got 1e+308\n", out, capsys)
 
-    @pytest.mark.parametrize("sigmas, refusal", [
-        # the first grid built fails: its density underflows, or overflows
-        ((1e170, 1e-200), "sigma_s = 1e+170 deg is too large to design in double precision ("
-                          "the grid's density underflows to 0)\n"),
-        ((1e-200, 1e170), "sigma_s = 1e-200 deg is too small to design in double precision ("
-                          "the grid's density overflows); use sigma_s = 0 for a point-mass "
-                          "design\n"),
-    ], ids=["huge_first", "tiny_first"])
-    def test_two_interferers_name_the_failing_side(self, sigmas, refusal, scenario_path,
-                                                    tmp_path, capsys):
-        raw = json.loads(scenario_path.read_text())
-        raw["interferers"] = [dict(raw["interferers"][0], sigma_s_deg=s) for s in sigmas]
-        raw["interferers"][1].update(lon_deg=140.0, lat_deg=-25.0)
-        scenario_path.write_text(json.dumps(raw))
+    @pytest.mark.parametrize("sigmas", [(1e170, 1e-200), (1e-200, 1e170)],
+                             ids=["huge_first", "tiny_first"])
+    def test_two_interferers_name_the_failing_side(self, sigmas, scenario_path, tmp_path,
+                                                    capsys):
+        # a tiny sigma_s is valid; the refusal names the one over the cap, in either order
+        self.with_sigmas(scenario_path, sigmas)
         out = tmp_path / "o"
-        assert main(["optimize", "--scenario", str(scenario_path), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "runtime error: " + refusal
-        assert not list(out.iterdir())
+        self.assert_refused(["optimize", "--scenario", str(scenario_path), "--out", str(out)],
+                            2, "scenario error: invalid scenario: sigma_s must be between 0 and "
+                               "180 deg, got 1e+170\n", out, capsys)
+
+    def test_cap_is_inclusive_at_both_entry_points(self, scenario_path, tmp_path, capsys):
+        above = repr(math.nextafter(180.0, math.inf))
+        sweep = ["sweep", "--scenario", str(scenario_path), "--trials", "5",
+                 "--sigma-i-max", "0.2"]
+        assert main(sweep + ["--out", str(tmp_path / "at"), "--sigma-s", "180"]) == 0
+        capsys.readouterr()
+        self.assert_refused(sweep + ["--out", str(tmp_path / "above"), "--sigma-s", above],
+                            1, "usage error: --sigma-s values must be between 0 and 180\n",
+                            tmp_path / "above", capsys)
+        optimize = ["optimize", "--scenario", str(scenario_path)]
+        self.with_sigmas(scenario_path, [180.0])
+        assert main(optimize + ["--out", str(tmp_path / "file_at")]) == 0
+        capsys.readouterr()
+        self.with_sigmas(scenario_path, [float(above)])
+        self.assert_refused(optimize + ["--out", str(tmp_path / "file_above")],
+                            2, "scenario error: invalid scenario: sigma_s must be between 0 and "
+                               "180 deg, got 180\n", tmp_path / "file_above", capsys)
 
 
 class TestSweepDesignsTogether:
     """``sweep`` designs its sigma_s values in one pass, with the outputs
-    and refusals of designing them one at a time."""
-
-    @pytest.mark.parametrize("sigma_s, refusal", [
-        # the first design's norm underflows; the second's density would overflow
-        ("1e-100,1e-160", "sigma_s = 1e-100 deg is too small to design in double precision ("
-                          "the design's norm is 0.0); use sigma_s = 0 for a point-mass design\n"),
-        ("1e+100,1e-100", "sigma_s = 1e+100 deg is too large to design in double precision ("
-                          "the design's norm is inf)\n"),
-        ("0,1e-160", "sigma_s = 1e-160 deg is too small to design in double precision ("
-                     "the grid's density overflows); use sigma_s = 0 for a point-mass design\n"),
-    ], ids=["norm_underflow_first", "norm_overflow_first", "density_overflow_second"])
-    def test_first_failing_design_is_named(self, sigma_s, refusal, scenario_path, tmp_path,
-                                           capsys):
-        out = tmp_path / "o"
-        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
-                     "--sigma-s", sigma_s, "--trials", "5", "--format", "both"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "runtime error: " + refusal
-        assert not list(out.iterdir())
+    of designing them one at a time."""
 
     def test_four_designs_resolve_each_ground_point_once(self, monkeypatch, tmp_path):
         calls = []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullshaper.array import ArrayModel, Direction, WeightVector, gain, gains
 from nullshaper.uncertainty import (
@@ -23,19 +25,31 @@ def pdf_matrix_form(belief, theta, phi):
     return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
 
 
+def normalised_density(belief, grid):
+    """``pdf_matrix_form`` at the grid's directions, divided by its sum."""
+    density = np.array([pdf_matrix_form(belief, t, p) for t, p in grid.directions])
+    return density / density.sum()
+
+
+#: The 3 x 3, kappa = 1 grid's per-axis weight sum, 1 + 2 exp(-1/2).
+ONE_SIGMA_AXIS_SUM = 1.0 + 2.0 * math.exp(-0.5)
+
+
 class TestPdf:
-    """Grid weights are the belief's density at the sample directions."""
+    """Grid weights are the belief's density at the sample directions,
+    divided by its sum over the grid."""
 
     def test_value_at_mean(self):
         belief = InterfererBelief(0.2, 1.0, 0.05, 0.02)
-        expected = 1.0 / (2.0 * math.pi * 0.05 * 0.02)
         # the centre sample of an odd grid sits exactly on the mean
+        expected = 1.0 / ONE_SIGMA_AXIS_SUM**2
         assert build_grid(belief, 3, 1).weights[4] == pytest.approx(expected, rel=1e-12)
 
     def test_unit_sigma_one_off(self):
         grid = build_grid(InterfererBelief(0.0, 0.0, 1.0, 1.0), 3, 1)
         assert grid.directions[7].tolist() == [1.0, 0.0]
-        assert grid.weights[7] == pytest.approx(math.exp(-0.5) / (2.0 * math.pi), rel=1e-12)
+        expected = math.exp(-0.5) / ONE_SIGMA_AXIS_SUM**2
+        assert grid.weights[7] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_matrix_form(self):
         rng = np.random.default_rng(0)
@@ -44,8 +58,7 @@ class TestPdf:
                 rng.uniform(-1, 1), rng.uniform(0, 6), rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.5)
             )
             grid = build_grid(belief, 3, 2)
-            expected = [pdf_matrix_form(belief, t, p) for t, p in grid.directions]
-            assert grid.weights == pytest.approx(expected, rel=1e-12)
+            assert grid.weights == pytest.approx(normalised_density(belief, grid), rel=1e-12)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -79,8 +92,7 @@ class TestBuildGrid:
         corners = {(round(t, 12), round(p, 12)) for t, p in grid.directions}
         off = round(2 * sig, 12)
         assert corners == {(-off, -off), (-off, off), (off, -off), (off, off)}
-        expected = math.exp(-4.0) / (2.0 * math.pi * sig * sig)
-        assert grid.weights == pytest.approx(np.full(4, expected), rel=1e-12)
+        assert grid.weights == pytest.approx(np.full(4, 0.25), rel=1e-12)
 
     def test_point_mass_single_sample(self):
         grid = build_grid(InterfererBelief(0.4, 0.9, 0.0, 0.0), 5, 3)
@@ -98,16 +110,13 @@ class TestBuildGrid:
         grid = build_grid(InterfererBelief(0.2, 1.5, 0.0, sig), 3, 1)
         assert len(grid) == 9
         assert (grid.thetas == 0.2).all()
-        marginal = np.exp(-0.5 * ((grid.phis - 1.5) / sig) ** 2) / (
-            math.sqrt(2 * math.pi) * sig
-        )
-        assert grid.weights == pytest.approx(marginal, rel=1e-12)
+        marginal = np.exp(-0.5 * ((grid.phis - 1.5) / sig) ** 2)
+        assert grid.weights == pytest.approx(marginal / marginal.sum(), rel=1e-12)
 
     def test_weights_match_density(self):
         belief = InterfererBelief(0.1, 0.7, 0.03, 0.05)
         grid = build_grid(belief, 4, 2)
-        expected = [pdf_matrix_form(belief, t, p) for t, p in grid.directions]
-        assert grid.weights == pytest.approx(expected, rel=1e-12)
+        assert grid.weights == pytest.approx(normalised_density(belief, grid), rel=1e-12)
 
     def test_symmetry_about_the_mean(self):
         rng = np.random.default_rng(1)
@@ -145,28 +154,34 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(belief, 3, -1)
 
-    def test_overflowing_density_raises_overflow_error(self):
-        # 1 / (2 pi sigma^2) is past the largest double at sigma = 1e-160
-        with pytest.raises(OverflowError, match="density overflows"):
-            build_grid(InterfererBelief.isotropic(0.3, 1.0, 1e-160), 3, 1)
-
-    def test_underflowing_density_raises_floating_point_error(self):
-        # 1 / (2 pi sigma^2) is below the smallest double at sigma = 1e200
-        with pytest.raises(FloatingPointError, match="density underflows to 0"):
-            build_grid(InterfererBelief.isotropic(0.3, 1.0, 1e200), 3, 1)
-
 
 class TestNormalizeWeights:
-    """Grid weights divided by their sum, as a probability mass."""
+    """Grid weights are a probability mass: they sum to one."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        mean_theta=st.floats(0.0, math.pi / 2),
+        mean_phi=st.floats(0.0, 2.0 * math.pi),
+        sigma_theta=st.floats(1e-300, math.pi),
+        sigma_phi=st.floats(1e-300, math.pi),
+        samples=st.integers(1, 50),
+        kappa=st.integers(0, 10),
+    )
+    def test_weights_sum_to_one(self, mean_theta, mean_phi, sigma_theta, sigma_phi, samples,
+                                kappa):
+        # no sigma, however small or large, takes a weight out of double precision
+        belief = InterfererBelief(mean_theta, mean_phi, sigma_theta, sigma_phi)
+        weights = build_grid(belief, samples, kappa).weights
+        assert np.isfinite(weights).all() and (weights > 0.0).all()
+        assert abs(weights.sum() - 1.0) <= 4.0 * np.finfo(float).eps * samples**2
 
     def test_collapsed_grid_uniform_ninths(self):
         weights = build_grid(InterfererBelief(0.1, 0.2, 0.05, 0.05), 3, 0).weights
-        assert weights / weights.sum() == pytest.approx(np.full(9, 1.0 / 9.0), rel=1e-12)
+        assert weights == pytest.approx(np.full(9, 1.0 / 9.0), rel=1e-12)
 
     def test_center_corner_ratio(self):
         sig = math.radians(1.0)
         weights = build_grid(InterfererBelief(0.0, 0.0, sig, sig), 3, 1).weights
-        weights = weights / weights.sum()
         # unit offsets on both axes cost exp(-1) relative to the centre
         assert weights[4] / weights[0] == pytest.approx(math.e, rel=1e-12)
 
@@ -184,7 +199,6 @@ class TestWeightedInterfererGain:
         arr = ArrayModel.half_wavelength(4, 4, WL)
         w = WeightVector.uniform(16)
         grid = build_grid(InterfererBelief(0.3, 0.8, 0.05, 0.05), 3, 0)
-        grid = NullSampleGrid(grid.directions, grid.weights / grid.weights.sum())
         expected = gain(arr, w, Direction(0.3, 0.8))
         assert weighted_interferer_gain(arr, w, grid) == pytest.approx(expected, rel=1e-12)
 
