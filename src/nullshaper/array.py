@@ -12,7 +12,13 @@ The response of weight vector ``w`` toward (theta, phi) is
                      (m dx sin(theta) cos(phi) + n dy sin(theta) sin(phi)))
 
 with weights flattened so the second index varies fastest
-(``w[m, n] -> w[m * n_count + n]``, the ndarray ``ravel`` order).
+(``w[m, n] -> w[m * n_count + n]``, the ndarray ``ravel`` order). The
+phasor factors into a row and a column phasor, so with W the weights as an
+m x n matrix, r_m = exp(-i 2 pi / wl m dx u) and c_n the same along n,
+AF = sum_m r_m sum_n W[m, n] c_n (Van Trees, *Optimum Array Processing*,
+2002, sec. 4.1): ``gains`` scores through this bilinear form and never
+forms the m n phasors, which only weight design and the matched beam
+need from ``ArrayModel.steering``.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: Export floor replacing -inf when a pattern sample is exactly zero.
 DEFAULT_FLOOR_DB = -100.0
 
-#: Complex bytes built per direction block wherever steering rows are
+#: Complex bytes built per direction block wherever directions are
 #: reduced to response power, counting every per-direction temporary (the
-#: row and column powers as well as the phasors), so memory stays flat in
-#: the number of directions. Sweeps also size their groups of sigma_i
-#: points from it.
+#: row and column powers, the copy handed to BLAS and the partial sums), so
+#: memory stays flat in the number of directions. Weight design sizes its
+#: blocks of grid steering rows from it, and sweeps their groups of sigma_i
+#: points.
 _BLOCK_BYTES = 1 << 20
 
 #: Most elements an array may have (32 x 32): weight design builds N x N
@@ -98,8 +105,8 @@ class ArrayModel:
         z = exp(-i k d u) with d the axis spacing and u the direction cosine
         along it; ``_powers`` raises z to the element indices, and the two
         factors are multiplied out, rows first, into a C-ordered array in
-        ravel order, so every phasor row is contiguous for ``_power``'s dots.
-        Every phasor depends on its own direction only, not on P.
+        ravel order, one contiguous phasor row per direction. Every phasor
+        depends on its own direction only, not on P.
         """
         theta_arr = np.asarray(theta, dtype=float)
         phi_arr = np.asarray(phi, dtype=float)
@@ -205,19 +212,52 @@ class WeightVector:
 def _direction_blocks(count: int, size: int):
     """Slices that cover ``count`` directions in order, each holding about
     ``_BLOCK_BYTES`` of complex values at ``size`` values per direction:
-    ``gains`` counts its phasors and both axes' powers, m n + m + n, and
-    ``optimize`` its grid steering rows, m n."""
+    ``gains`` counts both axes' powers, m + n, the contiguous copy of the
+    longer axis's and one weight row's partial sums over it, another
+    m + n, and weight design its grid steering rows, m n."""
     step = max(1, _BLOCK_BYTES // (16 * size))
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
-def _power(steering: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """|s . w|^2 for (D, size) steering and (S, size) weight rows: (D, S).
-    Each entry is one dot product over its own contiguous steering and
-    weight row, whose rounding depends on neither D nor S, then re^2 + im^2;
-    null depths are cancellation-limited."""
-    response = np.vecdot(rows.conj()[None], steering[:, None])
-    return response.real**2 + response.imag**2
+def _response_power(
+    arr: ArrayModel, rows: np.ndarray, theta: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    """|s . w|^2 for P directions and (S, size) C-ordered weight rows: (P, S).
+
+    A weight row W, read as an m x n matrix, responds with
+    sum_m r_m sum_n W[m, n] c_n, so no m n phasor is formed. Per weight
+    row, one BLAS product contracts the longer axis: its powers, a
+    C-ordered (P, long) matrix, times W (or W^T). One ``vecdot`` per
+    direction over the shorter axis finishes the sum; it conjugates its
+    first operand, so that axis's powers are built from +phase.
+
+    Every entry rounds the same in any block, next to any weight rows:
+    each weight row has its own product, whose rows do not depend on P
+    once P >= 2 (a lone direction is doubled, off BLAS's matrix-vector
+    path), and the shorter axis's powers stay a strided view, so every
+    dot takes BLAS's strided path. A (P, long) F-ordered product, or one
+    with directions as its columns, would round differently as P
+    changes. Null depths are cancellation-limited.
+    """
+    count = theta.size
+    if count == 1:
+        theta, phi = np.repeat(theta, 2), np.repeat(phi, 2)
+    sin_theta = np.sin(theta)
+    k = 2.0 * np.pi / arr.wavelength
+    x = k * arr.dx * (sin_theta * np.cos(phi))
+    y = k * arr.dy * (sin_theta * np.sin(phi))
+    matrices = rows.reshape(-1, arr.m, arr.n)
+    if arr.m >= arr.n:
+        longer, shorter = _powers(-1j * x, arr.m), _powers(1j * y, arr.n)
+    else:
+        longer, shorter = _powers(-1j * y, arr.n), _powers(1j * x, arr.m)
+        matrices = matrices.transpose(0, 2, 1)
+    longer = np.ascontiguousarray(longer)
+    power = np.empty((count, len(matrices)))
+    for s, matrix in enumerate(matrices):
+        response = np.vecdot(shorter, longer @ matrix)[:count]
+        power[:, s] = response.real**2 + response.imag**2
+    return power
 
 
 def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
@@ -226,19 +266,21 @@ def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
     ``w`` is one weight vector, giving a (D,) result, or a (S, size) stack
     of weight rows, giving (D, S). theta and phi broadcast together and are
     flattened into the D directions; scalars drop that axis instead. The
-    directions are steered in blocks of about ``_BLOCK_BYTES`` each,
-    phasors and axis powers together, so memory does not grow with D.
-    Every block, the scalar case included, is reduced by ``_power``, so the
-    blocking does not change a bit.
+    directions are scored in blocks of about ``_BLOCK_BYTES`` of axis
+    powers and partial sums each, so memory does not grow with D. Every
+    block, the scalar case included, is reduced by ``_response_power``,
+    one weight row at a time, so neither the blocking nor the rows scored
+    beside a row change a bit.
     """
     values = _weight_values(w, arr.size)
-    rows = np.atleast_2d(values)
+    # C order, so a row's matrix is laid out alike whatever stack holds it
+    rows = np.ascontiguousarray(np.atleast_2d(values))
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     scalar = theta.ndim == 0
     theta, phi = theta.reshape(-1), phi.reshape(-1)
     power = np.empty((theta.size, rows.shape[0]))
-    for block in _direction_blocks(theta.size, arr.size + arr.m + arr.n):
-        power[block] = _power(arr.steering(theta[block], phi[block]), rows)
+    for block in _direction_blocks(theta.size, 2 * (arr.m + arr.n)):
+        power[block] = _response_power(arr, rows, theta[block], phi[block])
     if values.ndim == 1:
         power = power[:, 0]
     return power[0] if scalar else power

@@ -24,10 +24,10 @@ the K x K form U (B + delta I)^-1 U^H, the design is
 sec. 6.2). One user gives the familiar ``(B + delta I)^-1 a^H``; without
 interferers B is the identity and the result is the matched beam.
 
-The objective keeps the few user steering rows but only the directions
-of the shaping grid: grid gains come from ``array.gains``, and the design
-adds B up over blocks of grid directions, so memory does not grow with
-the grid. Every response power goes through ``array._power``. Several
+The objective keeps the directions of the users and of the shaping grid,
+and the few user steering rows for the design. Every response power, user
+and grid, comes from ``array.gains``, and the design adds B up over
+blocks of grid directions, so memory does not grow with the grid. Several
 designs that share their users, such as a sweep's sigma_s values, are
 solved together: one stacked ``solve`` and one stacked ``eigh`` serve
 them all, and each design's weights are bit for bit those it gets alone.
@@ -50,7 +50,6 @@ from .array import (
     Direction,
     WeightVector,
     _direction_blocks,
-    _power,
     _weight_values,
     gains,
 )
@@ -83,11 +82,11 @@ LOADING = 1e-8
 class Objective:
     """Mitigation effectiveness for fixed users and interferer grids.
 
-    Keeps the steering rows toward the users, steered once, and the
-    concatenated grid directions with their weights, which ``array.gains``
-    steers in bounded blocks on every evaluation. An empty grid list
-    disables the interferers (denominator pinned to 1), which turns the
-    objective into plain mean user gain.
+    Keeps the user directions, with their steering rows for ``optimize``'s
+    design, and the concatenated grid directions with their weights.
+    ``array.gains`` scores both, in bounded blocks, on every evaluation.
+    An empty grid list disables the interferers (denominator pinned to 1),
+    which turns the objective into plain mean user gain.
     """
 
     #: ``EPS_DEN``, also readable on the objective: bench/tracing.py reads it.
@@ -105,8 +104,8 @@ class Objective:
         self.user_directions = tuple(user_directions)
         self.interferer_grids = tuple(interferer_grids)
 
-        thetas, phis = np.array([(d.theta, d.phi) for d in self.user_directions]).T
-        self._user_steering = array.steering(thetas, phis)
+        self._user_angles = np.array([(d.theta, d.phi) for d in self.user_directions]).T
+        self._user_steering = array.steering(*self._user_angles)
         self._grid_directions, self._grid_weights = _pooled(self.interferer_grids)
 
     @property
@@ -127,7 +126,7 @@ class Objective:
         rows = _weight_values(weights, self.array.size).reshape(-1, self.array.size)
         # each row's K user gains and Z grid gains as contiguous rows, reduced
         # row by row, so a row of a stack rounds as it does alone
-        numerator = np.ascontiguousarray(_power(self._user_steering, rows).T).mean(axis=1)
+        numerator = np.ascontiguousarray(gains(self.array, rows, *self._user_angles).T).mean(axis=1)
         if self._grid_directions is None:
             return numerator, None
         grid = self._grid_directions
@@ -135,7 +134,7 @@ class Objective:
         return numerator, np.vecdot(np.ascontiguousarray(power.T), self._grid_weights)
 
     def user_gain_mean(self, w) -> float:
-        return float(np.mean(_power(self._user_steering, self._row(w))))
+        return float(np.mean(gains(self.array, w, *self._user_angles)))
 
     def interferer_gain_mean(self, w) -> float:
         """Mean over interferers of the probability-weighted gain."""

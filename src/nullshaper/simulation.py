@@ -248,7 +248,7 @@ def _sweep_weights(sc: Scenario, sigmas_s) -> list[WeightVector]:
     # resolve in build_objective's order before copying, so every copy
     # shares the directions
     sc.interferer_directions()
-    users = Objective(sc.array, sc.user_directions())._user_steering
+    users = sc.array.steering(*np.array([(d.theta, d.phi) for d in sc.user_directions()]).T)
     designs = (_interferer_grids(sc.with_sigma_s(s)) for s in sigmas_s)
     return [w for w, _ in _designs(sc.array, users, designs)]
 

@@ -102,6 +102,14 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
     every sample on the mean: the grid holds L^2 copies of the mean
     direction, each weighted 1 / L^2, so it is the point mass at the mean
     split into equal parts.
+
+    The grid is laid out in (theta, phi) and not kept on the sky: a wide
+    sigma takes theta outside [0, pi/2], and samples then alias, steering
+    to the same direction cosines (u, v). On ``leo_capacity.json`` (L = 3,
+    kappa = 1), sigma_s = 90 deg leaves 7 distinct (u, v) of 9 samples,
+    theta running from -1.06 to 2.08 rad, and 180 deg leaves 2, from -2.63
+    to 3.65 rad; both designs report a clamped psi, as if the position
+    were nearly certain. Nothing checks for this.
     """
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")

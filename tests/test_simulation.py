@@ -383,17 +383,16 @@ class TestMonteCarloSweep:
     def test_zero_sigma_point_steers_only_the_means(self, monkeypatch):
         second = InterfererSite(position=GeodeticPosition.from_degrees(140.0, -20.5))
         sc = replace(make_scenario(), interferers=make_scenario().interferers + (second,))
-        steer = ArrayModel.steering
-        steered = []
+        score = nullshaper.array._response_power
+        scored = []
 
-        def counting_steer(arr, theta, phi):
-            phasors = steer(arr, theta, phi)
-            steered.append(1 if phasors.ndim == 1 else phasors.shape[0])
-            return phasors
+        def counting_score(arr, rows, theta, phi):
+            scored.append(theta.size)
+            return score(arr, rows, theta, phi)
 
-        monkeypatch.setattr(ArrayModel, "steering", counting_steer)
+        monkeypatch.setattr(nullshaper.array, "_response_power", counting_score)
         monte_carlo_sweeps(sc, [WeightVector.uniform(64)], [0.0], trials=500)
-        assert 0 < sum(steered) <= len(sc.users) + len(sc.interferers)
+        assert 0 < sum(scored) <= len(sc.users) + len(sc.interferers)
 
     def test_capacity_none_for_several_users(self):
         sc = replace(make_scenario(), users=(USER, GeodeticPosition.from_degrees(137.0, -21.0)))
