@@ -304,42 +304,47 @@ def monte_carlo_sweeps(
     trial t at mean_j + sigma_i * z[t, j]. Every sigma_i point, every
     design and both metrics share these draws (common random numbers), so
     a row does not depend on the grid around it and designs differ only by
-    their weights. Per sigma_i point one ``array.gains`` call scores every
-    weight row on the trials x J realised directions, steered in bounded
-    blocks. The points are taken in groups of about ``_BLOCK_BYTES / 4`` of
-    gains: each group's gains fill one contiguous (designs, points, trials,
-    J) array, and one pass of reductions turns it into every design's rows
-    for those points. Every reduction runs over contiguous rows of one
-    point's trials or one trial's J gains, so it rounds the same whatever
-    the grouping. At sigma_i = 0 every trial realises the J means, so only
-    those are steered and their gains are broadcast over the trials; a gain
-    depends on its direction alone, so the rows equal the general path's.
-    The rounding of a gain depends on neither the blocking nor the number
-    of rows, so a realised point reproduces the single-point-grid
-    objective value bit for bit, and a design's rows do not depend on the
-    designs swept with it. Memory grows with ``trials`` times designs times
-    J, a few doubles each, not with the steering or the grid. The link
-    budget is the scenario's.
+    their weights. The points are taken in groups of about
+    ``_BLOCK_BYTES / 4`` of gains, and one ``array.gains`` call per group
+    scores every weight row on the J means and on the trials x J realised
+    directions of each of the group's points, steered in bounded blocks;
+    the first group's call scores the K users too. At sigma_i = 0 every
+    trial realises the J means, so the means' gains are broadcast over the
+    trials and none of its trials is steered; a gain depends on its
+    direction alone, so the rows equal the general path's. Each group's
+    gains fill one contiguous (designs, points, trials, J) array, and one
+    pass of reductions turns it into every design's rows for those
+    points. Every reduction runs over contiguous rows of one point's
+    trials or one trial's J gains, so it rounds the same whatever the
+    grouping. The rounding of a gain depends on neither the blocking, nor
+    the directions scored beside it, nor the number of rows, so a realised
+    point reproduces the single-point-grid objective value bit for bit,
+    and a design's rows do not depend on the designs or the sigma_i points
+    swept with it. Memory grows with ``trials`` times designs times J, a
+    few doubles each, not with the steering or the grid. The link budget
+    is the scenario's.
 
-    Returns one ``(psi, capacity)`` pair per weight row: psi rows in dB,
-    capacity rows in bits/s/Hz, or None when the scenario does not serve
-    exactly one user.
+    Returns one ``(psi, capacity)`` pair per weight row, an empty list for
+    no weight rows: psi rows in dB, capacity rows in bits/s/Hz, or None
+    when the scenario does not serve exactly one user. Raises ValueError
+    for ``trials`` < 1 and for a sigma_i grid that is not sorted or holds
+    a negative or non-finite sigma_i.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sigma_list = [float(s) for s in sigma_i_grid]
+    if not all(math.isfinite(s) and s >= 0.0 for s in sigma_list):
+        raise ValueError("sigma_i grid must be finite and >= 0")
     if sigma_list != sorted(sigma_list):
         raise ValueError("sigma_i grid must be sorted")
     seed = sc.seed if seed is None else seed
 
     rows = np.array([_weight_values(w, sc.array.size) for w in weights]).reshape(-1, sc.array.size)
     designs = len(rows)
-    user_theta, user_phi = np.array([[d.theta, d.phi] for d in sc.user_directions()]).T
-    # each design's K user gains as one contiguous row, so its mean rounds as
-    # Objective.user_gain_mean does for that design alone
-    user_power = np.ascontiguousarray(gains(sc.array, rows, user_theta, user_phi).T)
-    user_gains = user_power.mean(axis=1)[:, None, None]
-    with_capacity = user_theta.size == 1
+    if designs == 0:
+        return []
+    users = np.array([[d.theta, d.phi] for d in sc.user_directions()])
+    with_capacity = len(users) == 1
     means = np.array([[d.theta, d.phi] for d in sc.interferer_directions()])
     interferers = len(means)
     z = np.random.default_rng(seed).standard_normal((trials, interferers, 2))
@@ -348,24 +353,30 @@ def monte_carlo_sweeps(
     psi_mean, psi_std = np.empty(shape), np.empty(shape)
     cap_mean, cap_std = np.empty(shape), np.empty(shape)
     # groups of about a quarter steering block of float64 gains: the
-    # reductions hold about four arrays of the group's size at once
+    # reductions hold about four arrays of the group's size at once, and the
+    # realised directions take two doubles per gain of one design
     group_size = max(1, _BLOCK_BYTES // 4 // (8 * designs * trials * interferers))
     for start in range(0, len(sigma_list), group_size):
-        group = sigma_list[start : start + group_size]
+        group = np.array(sigma_list[start : start + group_size])
         points = slice(start, start + len(group))
+        # the grid is sorted and >= 0, so its sigma_i = 0 points lead
+        zeros = np.count_nonzero(group == 0.0)
+        scored = len(users) if start == 0 else 0
+        realised = means + group[zeros:, None, None, None] * z
+        directions = np.concatenate([users[:scored], means, realised.reshape(-1, 2)])
+        power = gains(sc.array, rows, directions[:, 0], directions[:, 1])
+        if scored:
+            # each design's K user gains as one contiguous row, so its mean
+            # rounds as Objective.user_gain_mean does for that design alone
+            user_gains = np.ascontiguousarray(power[:scored].T).mean(axis=1)[:, None, None]
+        mean_power = power[scored : scored + interferers]
         # (designs, points, trials, J), contiguous, so each design's trials
         # at each point reduce as one contiguous row, rounding as a
         # single-design, single-point sweep does
         interferer_gains = np.empty((designs, len(group), trials, interferers))
-        for g, sigma_i in enumerate(group):
-            if sigma_i == 0.0:
-                # every trial realises the means: steer J directions, not trials x J
-                power = gains(sc.array, rows, means[:, 0], means[:, 1])
-                interferer_gains[:, g] = power.T[:, None, :]
-            else:
-                flat = (means + sigma_i * z).reshape(-1, 2)
-                power = gains(sc.array, rows, flat[:, 0], flat[:, 1])
-                interferer_gains[:, g] = power.T.reshape(designs, trials, interferers)
+        interferer_gains[:, :zeros] = mean_power.T[:, None, None, :]
+        realised_power = power[scored + interferers :].reshape(-1, trials, interferers, designs)
+        interferer_gains[:, zeros:] = np.moveaxis(realised_power, -1, 0)
         per_trial = _psi_db(user_gains, interferer_gains)
         psi_mean[:, points], psi_std[:, points] = per_trial.mean(axis=-1), per_trial.std(axis=-1)
         if with_capacity:
@@ -428,9 +439,12 @@ def capacity(sc: Scenario, w: WeightVector, realized_directions) -> float:
         realized = np.array([[d.theta, d.phi] for d in realized_directions])
     else:
         realized = np.asarray(realized_directions, dtype=float).reshape(-1, 2)
-    interferer_gains = gains(sc.array, w, realized[:, 0], realized[:, 1]).reshape(1, -1)
-    user_gain = Objective(sc.array, sc.user_directions()).user_gain_mean(w)
-    return float(_capacity_bits(user_gain, interferer_gains, sc.link_budget)[0])
+    user = sc.user_directions()[0]
+    # one call scores the user and the realised directions: no gain depends
+    # on the directions scored beside it
+    theta, phi = np.vstack([[user.theta, user.phi], realized]).T
+    power = gains(sc.array, w, theta, phi).reshape(-1)
+    return float(_capacity_bits(power[0], power[None, 1:], sc.link_budget)[0])
 
 
 def crossover_sigma(baseline: SweepResult, other: SweepResult) -> float | None:

@@ -394,6 +394,41 @@ class TestMonteCarloSweep:
         monte_carlo_sweeps(sc, [WeightVector.uniform(64)], [0.0], trials=500)
         assert 0 < sum(scored) <= len(sc.users) + len(sc.interferers)
 
+    def test_one_gains_call_per_group_of_sigma_points(self, monkeypatch):
+        sc = make_scenario()
+        weights = [design_weights(sc).weights, WeightVector.uniform(64)]
+        grid = [math.radians(0.1 * i) for i in range(11)]
+        trials = 500
+        user = sc.user_directions()[0]
+        score = nullshaper.simulation.gains
+        calls = []
+
+        def counting_gains(arr, w, theta, phi):
+            calls.append(np.column_stack([theta, phi]))
+            return score(arr, w, theta, phi)
+
+        monkeypatch.setattr(nullshaper.simulation, "gains", counting_gains)
+        default = monte_carlo_sweeps(sc, weights, grid, trials=trials, seed=19)
+        assert len(calls) == 1
+        # groups of 4, 4 and 3 points
+        point_bytes = 8 * len(weights) * trials * len(sc.interferers)
+        monkeypatch.setattr(nullshaper.simulation, "_BLOCK_BYTES", 4 * 4 * point_bytes)
+        calls.clear()
+        assert monte_carlo_sweeps(sc, weights, grid, trials=trials, seed=19) == default
+        assert len(calls) == 3
+        directions = np.concatenate(calls)
+        assert np.all(directions == [user.theta, user.phi], axis=1).sum() == 1
+        # each group scores the J means, and every trial of each sigma_i > 0 point
+        assert len(directions) == len(sc.users) + 3 * len(sc.interferers) + 10 * trials
+
+    def test_no_weight_rows_sweep_nothing(self):
+        assert monte_carlo_sweeps(make_scenario(), [], [0.0, 0.01], trials=3) == []
+
+    @pytest.mark.parametrize("grid", [[0.0, math.inf], [0.0, math.nan], [-0.01, 0.0]])
+    def test_non_finite_or_negative_sigma_i_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            monte_carlo_sweeps(make_scenario(), [WeightVector.uniform(64)], grid, trials=2)
+
     def test_capacity_none_for_several_users(self):
         sc = replace(make_scenario(), users=(USER, GeodeticPosition.from_degrees(137.0, -21.0)))
         [(psi, cap)] = monte_carlo_sweeps(sc, [WeightVector.uniform(64)], [0.0], trials=2)
