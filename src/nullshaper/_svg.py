@@ -5,16 +5,16 @@ view with no plotting dependency. Each series is a polyline over a plain
 axes box with tick labels. Series may be numpy arrays or lists; each is
 filtered and scaled in whole-array passes, not point by point.
 
-Polyline points print as ``"%.2f,%.2f"``. A series of at least ``_CHUNK``
-points, such as a long pattern cut, is spelled as ASCII digits in
-whole-array passes of ``_CHUNK`` points; a shorter series, such as a sweep
-or geodesy curve, and any pass holding a value below 0, at or above 1e4,
--0.0 or non-finite, go through ``%`` instead. Both give the same bytes.
+Polyline points print as ``"%.2f,%.2f"``. A series with more points than
+the plot has pixel columns, such as a long pattern cut, is first cut down
+to the first, last, lowest and highest point of each run of consecutive
+points that fall in one pixel column (M4 aggregation): the same pixels,
+every null and peak kept, in a few points per column. The axes still span
+every point.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from pathlib import Path
 
@@ -23,12 +23,6 @@ import numpy as np
 _WIDTH, _HEIGHT = 860, 560
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 48, 58
 _COLORS = ["#1f77b4", "#d62728", "#e6b417", "#7a3fb5", "#2ca02c", "#8c564b", "#17becf"]
-
-#: Points per whole-array formatting pass, and the shortest series that
-#: takes such passes: below it, ``%`` costs less than their fixed cost.
-_CHUNK = 4096
-#: A formatted value: its 8 bytes "ddddd.dd", then its separator.
-_FIELD = np.dtype([("digits", "<u8"), ("sep", "u1")])
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
@@ -54,44 +48,19 @@ def _percent_points(flat: np.ndarray) -> str:
     return " ".join(["%.2f,%.2f"] * (flat.size // 2)) % tuple(flat.tolist())
 
 
-@functools.cache
-def _digit_fields() -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables of ``_FIELD`` digits, to be ORed together: one for the
-    whole parts 0 to 10000 with their point, leading zeros left as NUL
-    bytes, and one for the hundredths 0 to 99. Built on first use, so that
-    importing the package does not pay for them."""
-    places = 10 ** np.arange(4, -1, -1, dtype=np.int32)
-    quotients = np.arange(10001, dtype=np.int32)[:, None] // places
-    digits = (quotients % 10 + ord("0")).astype(np.uint8)
-    whole = np.zeros((10001, 8), dtype=np.uint8)
-    whole[:, :5] = np.where((quotients > 0) | (places == 1), digits, 0)
-    whole[:, 5] = ord(".")
-    cents = np.zeros((100, 8), dtype=np.uint8)
-    cents[:, 6:] = digits[:100, 3:]
-    tables = whole.view("<u8").ravel(), cents.view("<u8").ravel()
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _array_points(flat: np.ndarray) -> str:
-    """``_percent_points(flat)``, spelled in whole-array passes."""
-    if np.signbit(flat).any() or not (flat < 1e4).all():
-        return _percent_points(flat)  # below 0, -0.0, at or above 1e4, or non-finite
-    scaled = flat * 100.0
-    hundredths = np.rint(scaled).astype(np.int32)
-    # below 1e6, x * 100 is off its exact value by under 1e-10, so only a
-    # fraction next to one half can round to another hundredth than % does
-    for i in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6).tolist():
-        hundredths[i] = int(("%.2f" % flat[i]).replace(".", ""))
-    whole_fields, cents_fields = _digit_fields()
-    whole = hundredths // 100
-    text = np.empty(flat.size, dtype=_FIELD)
-    text["digits"] = whole_fields.take(whole) | cents_fields.take(hundredths - 100 * whole)
-    text["sep"][0::2] = ord(",")
-    text["sep"][1::2] = ord(" ")
-    # drop the last separator and the NUL bytes of leading zeros
-    return text.tobytes()[:-1].translate(None, b"\0").decode("ascii")
+def _pixel_extremes(columns: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Mask of the first, last, first lowest and first highest point of
+    each run of equal consecutive ``columns``."""
+    starts = np.flatnonzero(np.r_[True, columns[1:] != columns[:-1]])
+    lengths = np.diff(np.r_[starts, columns.size])
+    kept = np.zeros(columns.size, dtype=bool)
+    kept[starts] = kept[starts + lengths - 1] = True
+    index = np.arange(columns.size)
+    for extreme in (np.minimum, np.maximum):
+        at_extreme = ys == np.repeat(extreme.reduceat(ys, starts), lengths)
+        # every run holds its extreme, so no run takes the columns.size filler
+        kept[np.minimum.reduceat(np.where(at_extreme, index, columns.size), starts)] = True
+    return kept
 
 
 def write_line_chart(
@@ -173,11 +142,11 @@ def write_line_chart(
     for idx, (name, (xs, ys)) in enumerate(finite.items()):
         color = _COLORS[idx % len(_COLORS)]
         # elementwise numpy arithmetic rounds exactly as sx/sy do on floats
-        points = _percent_points if xs.size < _CHUNK else _array_points
-        coords = " ".join(
-            points(np.column_stack((sx(xs[i:i + _CHUNK]), sy(ys[i:i + _CHUNK]))).ravel())
-            for i in range(0, xs.size, _CHUNK)
-        )
+        px = sx(xs)
+        if xs.size > plot_w:
+            kept = _pixel_extremes(np.floor(px), ys)
+            px, ys = px[kept], ys[kept]
+        coords = _percent_points(np.column_stack((px, sy(ys))).ravel())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )

@@ -373,6 +373,8 @@ def _expected_ray(scenario: Scenario, args) -> tuple[float, float]:
 def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
     if min(args.altitudes_km) <= 0:
         raise _UsageError("--altitudes-km values must be > 0")
+    if not math.isfinite(max(args.altitudes_km) * 1000.0):
+        raise _UsageError("--altitudes-km values must be finite in metres")
     deviations_deg = np.array(_grid_deg(args.deviation_max, args.deviation_step, "deviation"))
     azimuth, elevation = _expected_ray(scenario, args)
     try:

@@ -242,17 +242,18 @@ def _ray_ranges(origin, direction):
     the datum surface, in units of each direction's length.
 
     NaN marks a ray that misses the surface or meets it only behind the
-    origin. The farther quadratic root lies on the far side of the planet
-    and is never returned.
+    origin, and every ray from an origin so far out that the quadratic's
+    coefficients overflow. The farther quadratic root lies on the far side
+    of the planet and is never returned.
     """
     scale = (SEMI_MAJOR_M, SEMI_MAJOR_M, SEMI_MINOR_M)
     ox, oy, oz = (o / s for o, s in zip(origin, scale))
     dx, dy, dz = (d / s for d, s in zip(direction, scale))
-    a = dx * dx + dy * dy + dz * dz
-    b = 2.0 * (ox * dx + oy * dy + oz * dz)
-    c = ox * ox + oy * oy + oz * oz - 1.0
-    with np.errstate(invalid="ignore"):
-        sqrt_disc = np.sqrt(b * b - 4.0 * a * c)  # NaN when the ray misses
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = dx * dx + dy * dy + dz * dz
+        b = 2.0 * (ox * dx + oy * dy + oz * dz)
+        c = ox * ox + oy * oy + oz * oz - 1.0
+        sqrt_disc = np.sqrt(b * b - 4.0 * a * c)
     t_near = (-b - sqrt_disc) / (2.0 * a)
     t_far = (-b + sqrt_disc) / (2.0 * a)
     t = np.where(t_near > 0.0, t_near, t_far)

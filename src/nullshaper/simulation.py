@@ -464,13 +464,26 @@ def crossover_sigma(baseline: SweepResult, other: SweepResult) -> float | None:
 # Scenario files
 
 
-def _position_from_entry(entry: dict, what: str):
+def _known_keys(entry: dict, what: str, keys: tuple[str, ...]) -> dict:
+    """``entry``, refusing any key outside ``keys``, so that a misspelled
+    key is not silently left at its default."""
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {entry!r}")
+    unknown = sorted(set(entry) - set(keys))
+    if unknown:
+        raise ScenarioError(f"unknown key in {what}: {', '.join(map(repr, unknown))}")
+    return entry
+
+
+def _position_from_entry(entry: dict, what: str, extra: tuple[str, ...] = ()):
     has_ground = "lon_deg" in entry and "lat_deg" in entry
     has_angle = "theta_deg" in entry and "phi_deg" in entry
     if has_ground == has_angle:
         raise ScenarioError(
             f"{what} entry needs either lon_deg/lat_deg or theta_deg/phi_deg: {entry}"
         )
+    place = ("lon_deg", "lat_deg", "alt_m") if has_ground else ("theta_deg", "phi_deg")
+    _known_keys(entry, f"{what} entry", place + extra)
     try:
         if has_ground:
             return GeodeticPosition.from_degrees(
@@ -489,31 +502,27 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _section(raw: dict, key: str) -> dict:
-    """The optional object ``raw[key]``, empty when absent."""
-    entry = raw.get(key, {})
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"{key} must be a JSON object, got {entry!r}")
-    return entry
-
-
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a scenario from the plain-dict form used by scenario files.
 
     Expected keys: ``satellite{lon_deg, lat_deg, alt_m}``,
     ``array{m, n, dx_over_lambda, dy_over_lambda, freq_hz}``, ``users``,
-    ``interferers`` (each entry a ground point ``{lon_deg, lat_deg}`` or a
-    direction ``{theta_deg, phi_deg}``, interferers adding ``sigma_s_deg``),
-    ``shaping{L, kappa}``, optional ``link_budget{...}``, and ``seed``.
-    Keys not listed here, such as the ``pso`` block and ``sigma_i_deg``
-    of older files, are not read.
+    ``interferers`` (each entry a ground point ``{lon_deg, lat_deg}`` with
+    an optional ``alt_m``, or a direction ``{theta_deg, phi_deg}``,
+    interferers adding ``sigma_s_deg``), ``shaping{L, kappa}``, optional
+    ``link_budget{...}``, and ``seed``. Any other key raises
+    :class:`ScenarioError`, except the ``pso`` block and the interferer
+    ``sigma_i_deg`` of older files, which are accepted and not read.
     """
     try:
-        sat_entry = raw["satellite"]
+        _known_keys(raw, "scenario", ("satellite", "array", "users", "interferers",
+                                      "shaping", "link_budget", "seed", "pso"))
+        sat_entry = _known_keys(raw["satellite"], "satellite", ("lon_deg", "lat_deg", "alt_m"))
         satellite = GeodeticPosition.from_degrees(
             float(sat_entry["lon_deg"]), float(sat_entry["lat_deg"]), float(sat_entry["alt_m"])
         )
-        arr_entry = raw["array"]
+        arr_entry = _known_keys(raw["array"], "array", ("m", "n", "dx_over_lambda",
+                                                          "dy_over_lambda", "freq_hz"))
         array = ArrayModel.from_frequency(
             _integer(arr_entry["m"], "array.m"),
             _integer(arr_entry["n"], "array.n"),
@@ -524,14 +533,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
         users = tuple(_position_from_entry(u, "user") for u in raw["users"])
         interferers = tuple(
             InterfererSite(
-                position=_position_from_entry(j, "interferer"),
+                position=_position_from_entry(j, "interferer", ("sigma_s_deg", "sigma_i_deg")),
                 sigma_s=math.radians(float(j.get("sigma_s_deg", 0.0))),
             )
             for j in raw["interferers"]
         )
-        shaping = _section(raw, "shaping")
+        shaping = _known_keys(raw.get("shaping", {}), "shaping", ("L", "kappa"))
         seed = _integer(raw.get("seed", 0), "seed")
-        budget_entry = _section(raw, "link_budget")
+        budget_entry = _known_keys(raw.get("link_budget", {}), "link_budget",
+                                   tuple(LinkBudget.__dataclass_fields__))
         scenario = Scenario(
             satellite=satellite,
             array=array,

@@ -84,6 +84,8 @@ class TestCommonBehaviour:
         ["sweep", "--sigma-s", "0,-0"],
         # an elevation beyond +/-90 deg names no look ray
         ["geodesy", "--expected-azimuth-deg", "0", "--expected-elevation-deg", "100"],
+        # 1e306 km is finite, but not in metres
+        ["geodesy", "--altitudes-km", "400,1e306"],
     ])
     def test_bad_numeric_flag_is_usage_error(self, argv, scenario_path, tmp_path, capsys):
         assert main(argv + ["--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
@@ -113,6 +115,8 @@ class TestCommonBehaviour:
         # optional sections must be JSON objects when present
         pytest.param(("shaping",), 3, [], id="shaping_not_object"),
         pytest.param(("link_budget",), [], [], id="link_budget_not_object"),
+        # a misspelled key is refused rather than left at its default
+        pytest.param(("shaping", "kapa"), 3, [], id="misspelled_key"),
     ])
     def test_out_of_range_value_is_validation_error(
         self, path, value, argv, scenario_path, tmp_path, capsys
@@ -443,6 +447,17 @@ class TestGeodesy:
         assert all(r[2] == "nan" for r in missed)
         # with both deviations zero the footprints coincide
         assert float(rows[0][0]) == 0.0 and float(rows[0][2]) == 0.0
+
+    def test_altitude_overflowing_the_ray_solve_reads_as_a_miss(self, scenario_path, tmp_path):
+        # squared, 1e300 km overflows; the row is a miss, and pytest turns a
+        # RuntimeWarning into an error
+        out = tmp_path / "out"
+        assert main(["geodesy", "--scenario", str(scenario_path), "--out", str(out),
+                     "--altitudes-km", "400,1e300",
+                     "--deviation-max", "0.4", "--deviation-step", "0.2"]) == 0
+        rows = [line.split(",") for line in read_lines(out / "arc_dtheta.csv")[2:]]
+        assert {(r[2] == "nan", r[3]) for r in rows if r[1] == "1e+300"} == {(True, "0")}
+        assert {r[3] for r in rows if r[1] == "400.0"} == {"1"}
 
     def test_expected_ray_flags_must_pair(self, scenario_path, tmp_path):
         assert main(["geodesy", "--scenario", str(scenario_path),

@@ -565,6 +565,23 @@ class TestScenarioLoading:
         del raw["pso"], raw["interferers"][0]["sigma_i_deg"]
         assert scenario_from_dict(raw) == sc
 
+    @pytest.mark.parametrize("path, key", [
+        pytest.param((), "sigma_s_deg", id="top_level"),
+        pytest.param(("satellite",), "alt_km", id="satellite"),
+        pytest.param(("array",), "freq", id="array"),
+        pytest.param(("users", 0), "alt", id="user"),
+        pytest.param(("interferers", 0), "sigma_s", id="interferer"),
+        pytest.param(("shaping",), "kapa", id="shaping"),
+    ])
+    def test_unknown_key_rejected(self, path, key):
+        raw = self.scenario_dict()
+        entry = raw
+        for step in path:
+            entry = entry[step]
+        entry[key] = 1.0
+        with pytest.raises(ScenarioError, match=f"unknown key in .*'{key}'"):
+            scenario_from_dict(raw)
+
     def test_direction_entries(self):
         raw = self.scenario_dict()
         raw["users"] = [{"theta_deg": 30.0, "phi_deg": 0.0}]

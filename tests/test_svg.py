@@ -1,4 +1,5 @@
-"""The array-pass SVG writer against the per-point writer it replaced."""
+"""The array-pass SVG writer against the per-point writer it replaced, and
+the cut-down of series longer than the plot is wide."""
 
 import math
 import tracemalloc
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullshaper import _svg
 from nullshaper._svg import (
     _COLORS,
     _HEIGHT,
@@ -23,10 +23,12 @@ from nullshaper._svg import (
 )
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+PLOT_W = _WIDTH - _MARGIN_L - _MARGIN_R
+PLOT_H = _HEIGHT - _MARGIN_T - _MARGIN_B
 
 
-def reference_line_chart(path, series, title, x_label, y_label):
-    """The per-point writer: every value filtered, bounded and formatted in Python."""
+def reference_scales(series):
+    """The chart's (sx, sy) and x and y bounds, taken from every finite point."""
     points = [
         (x, y)
         for xs, ys in series.values()
@@ -46,14 +48,19 @@ def reference_line_chart(path, series, title, x_label, y_label):
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
-
     def sx(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * PLOT_W
 
     def sy(y: float) -> float:
-        return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * PLOT_H
+
+    return sx, sy, (x_lo, x_hi), (y_lo, y_hi)
+
+
+def reference_line_chart(path, series, title, x_label, y_label):
+    """The per-point writer: every value filtered, bounded and formatted in Python."""
+    sx, sy, (x_lo, x_hi), (y_lo, y_hi) = reference_scales(series)
+    plot_w, plot_h = PLOT_W, PLOT_H
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -203,94 +210,85 @@ class TestWriteLineChart:
             write_line_chart(tmp_path / "c.svg", {"a": ([0.0, 1.0], [1.0])}, "t", "x", "y")
 
 
-def percent_points(flat):
-    """The polyline text as the ``%`` path spells it."""
-    return " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat)
+def reference_kept(xs, ys, sx):
+    """A long series' finite points, and the indices of those it keeps: for
+    each run of consecutive points whose ``sx(x)`` falls in one pixel column,
+    its first, last, first lowest and first highest point, in order."""
+    points = [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+    runs = []
+    for i, (x, _) in enumerate(points):
+        column = math.floor(sx(x))
+        if runs and runs[-1][0] == column:
+            runs[-1][1].append(i)
+        else:
+            runs.append((column, [i]))
+    kept = set()
+    for _, run in runs:
+        run_ys = [points[i][1] for i in run]
+        kept.update((run[0], run[-1], run[run_ys.index(min(run_ys))],
+                     run[run_ys.index(max(run_ys))]))
+    return points, sorted(kept), len(runs)
 
 
-# values whose hundredths rounding is a near or exact tie, and the carry
-# of 9999.995 into "10000.00"
-TIES = [0.005, 0.015, 0.125, 1.005, 2.675, 9.995, 99.995, 9999.994, 9999.995]
-PIXEL = st.floats(0.0, 1e4, exclude_max=True) | st.sampled_from(TIES)
+def polylines(text):
+    """The points of each polyline in an SVG text, as their spelled strings."""
+    return [line.split('points="')[1].split('"')[0].split()
+            for line in text.splitlines() if line.startswith("<polyline")]
 
 
-class TestArrayPoints:
-    @PROPERTY
-    @given(st.lists(st.tuples(PIXEL, PIXEL), min_size=1, max_size=60))
-    def test_matches_percent_format(self, points):
-        flat = [v for point in points for v in point]
-        assert _svg._array_points(np.array(flat)) == percent_points(flat)
-
-    def test_ties_and_carry(self):
-        flat = TIES + [TIES[0]]
-        assert _svg._array_points(np.array(flat)) == percent_points(flat)
-        assert percent_points([9999.995, 0.0]) == "10000.00,0.00"
-
-    def test_tie_grid(self):
-        # k / 100 + 0.005 over the range, every 37th k and the last ten
-        k = np.r_[0:1_000_000:37, 999_990:1_000_000]
-        flat = (k / 100 + 0.005).tolist()
-        assert _svg._array_points(np.array(flat)) == percent_points(flat)
-
-    @pytest.mark.parametrize("odd", [-0.0, math.nan, math.inf, 1e4, -1.0])
-    def test_values_off_the_digit_range_take_the_percent_path(self, monkeypatch, odd):
-        calls = []
-
-        def spy(flat):
-            calls.append(flat.size)
-            return percent_points(flat.tolist())
-
-        monkeypatch.setattr(_svg, "_percent_points", spy)
-        flat = [1.0, odd, 2.5, 3.25]
-        assert _svg._array_points(np.array(flat)) == percent_points(flat)
-        assert calls == [4]
-
-    def test_values_in_range_take_no_percent_path(self, monkeypatch):
-        monkeypatch.setattr(_svg, "_percent_points", None)
-        assert _svg._array_points(np.array([0.0, 70.004, 829.996, 9999.99])) == (
-            "0.00,70.00 830.00,9999.99")
+@st.composite
+def long_series(draw, low=PLOT_W + 1, high=48 * PLOT_W):
+    """A series of ``low`` to ``high`` points: monotone or non-monotone x,
+    x and y on few enough levels to tie or not, and a share of NaN points.
+    A 36,001-sample pattern cut has about 47 points per pixel column."""
+    size = draw(st.integers(low, high))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.uniform(-90.0, 90.0, size)
+    x_order = draw(st.sampled_from(["sorted", "shuffled", "walk", "few"]))
+    if x_order == "sorted":
+        xs.sort()
+    elif x_order == "walk":
+        xs = np.cumsum(np.cumsum(rng.normal(0.0, 1.0, size)))  # smooth, turning back
+    elif x_order == "few":
+        xs = rng.integers(0, 5, size).astype(float)
+    ys = 30.0 * np.sin(rng.uniform(0.0, 7.0) * xs) + rng.normal(0.0, 1.0, size)
+    y_levels = draw(st.sampled_from([None, 2, 7]))
+    if y_levels is not None:
+        ys = np.round(ys * y_levels / 60.0)
+    nan_share = draw(st.sampled_from([0.0, 0.01]))
+    ys[rng.uniform(size=size) < nan_share] = np.nan
+    return xs.tolist(), ys.tolist()
 
 
-@pytest.fixture(scope="class")
-def one_point_chunks():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_svg, "_CHUNK", 1)
-        yield
-
-
-@pytest.mark.usefixtures("one_point_chunks")
-class TestWriteLineChartOnePointChunks:
-    """The ``TestWriteLineChart`` reference comparisons again, with every
-    non-empty series spelled in whole-array passes of one point."""
-
-    @PROPERTY
-    @given(st.lists(POINTS, min_size=1, max_size=4), st.booleans())
-    @example([[(0.0, math.nan), (1.0, 2.0), (math.inf, 3.0), (2.0, -1.0)],
-              [(math.nan, math.nan)], [(-0.5, 0.25), (0.5, -math.inf)]], True)
-    @example([[(-0.0, -0.004), (0.0, -0.005), (-1e-9, -0.0)], [(0.004, 1e-9)]], False)
-    def test_matches_reference_with_non_finite_points(self, out_dir, point_lists, as_arrays):
-        series = as_series(point_lists)
-        try:
-            reference_line_chart(out_dir / "want.svg", series, "t", "x", "y")
-        except ValueError:
+class TestLongSeries:
+    @settings(PROPERTY, max_examples=40)
+    @given(long_series(), st.booleans())
+    def test_keeps_each_pixel_columns_first_last_lowest_and_highest(
+        self, out_dir, series, beside
+    ):
+        xs, ys = series
+        charted = {"long": (xs, ys)}
+        if beside:  # a short series beside it widens the bounds
+            charted["short"] = ([-200.0, 150.0], [-80.0, 90.0])
+        write_line_chart(out_dir / "got.svg", {k: tuple(map(np.array, v))
+                                               for k, v in charted.items()}, "t", "x", "y")
+        sx, sy, _, _ = reference_scales(charted)
+        points, kept, runs = reference_kept(xs, ys, sx)
+        if len(points) <= PLOT_W:
             return
-        assert_same_bytes(out_dir, series, as_arrays)
+        drawn = polylines((out_dir / "got.svg").read_text())[0]
+        # the kept points, in the order of the series, and nothing else
+        assert drawn == [f"{sx(points[i][0]):.2f},{sy(points[i][1]):.2f}" for i in kept]
+        assert len(drawn) <= 4 * runs
 
     @PROPERTY
-    @given(FINITE | NEAR_ZERO, FINITE | NEAR_ZERO, st.integers(1, 5))
-    def test_constant_series_matches_reference(self, out_dir, x, y, size):
-        assert_same_bytes(out_dir, {"flat": ([x] * size, [y] * size)})
-
-    @PROPERTY
-    @given(FINITE | NEAR_ZERO, FINITE | NEAR_ZERO)
-    def test_single_point_matches_reference(self, out_dir, x, y):
-        assert_same_bytes(out_dir, {"one": ([x], [y])})
-
-    def test_series_without_finite_point_writes_empty_polyline(self, out_dir):
-        assert_same_bytes(out_dir, {
-            "data": ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0]),
-            "missing": ([math.nan, 1.0], [0.0, math.inf]),
-        })
+    @given(long_series(low=PLOT_W - 3, high=PLOT_W), st.booleans())
+    def test_series_up_to_plot_width_matches_reference(self, out_dir, series, as_arrays):
+        # NaN points leave a series of more than PLOT_W values uncut
+        xs, ys = series
+        assert_same_bytes(out_dir, {"s": (xs, ys)}, as_arrays)
+        xs, ys = xs + [math.nan] * 5, ys + [1.0] * 5
+        assert_same_bytes(out_dir, {"s": (xs, ys)}, as_arrays)
 
 
 def test_long_chart_memory_is_bounded(tmp_path):
@@ -304,4 +302,9 @@ def test_long_chart_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-    assert_same_bytes(tmp_path, {"gain": tuple(c.tolist() for c in series["gain"])})
+    # the kept points span the same bounds, so the per-point writer draws them alike
+    xs, ys = (c.tolist() for c in series["gain"])
+    points, kept, _ = reference_kept(xs, ys, reference_scales({"gain": (xs, ys)})[0])
+    reference_line_chart(tmp_path / "want.svg", {"gain": tuple(zip(*(points[i] for i in kept)))},
+                         "t", "x", "y")
+    assert (tmp_path / "c.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
