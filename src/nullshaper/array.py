@@ -89,6 +89,8 @@ class ArrayModel:
         dx_over_wl: float = 0.5,
         dy_over_wl: float = 0.5,
     ) -> "ArrayModel":
+        if not (math.isfinite(frequency_hz) and frequency_hz > 0.0):
+            raise ValueError(f"frequency must be positive and finite, got {frequency_hz!r}")
         wl = SPEED_OF_LIGHT / frequency_hz
         return cls(m, n, dx_over_wl * wl, dy_over_wl * wl, wl)
 
@@ -292,39 +294,26 @@ def gain(arr: ArrayModel, w, d: Direction) -> float:
 
 
 def pattern_cut(
-    arr: ArrayModel,
-    w,
-    *,
-    phi_cut: float | None = None,
-    theta_cut: float | None = None,
-    samples: int = 3601,
-    floor_db: float = DEFAULT_FLOOR_DB,
+    arr: ArrayModel, w, *, phi_cut: float, samples: int = 3601
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the gain pattern along one principal cut.
+    """Sample the gain pattern along the principal cut at azimuth ``phi_cut``.
 
-    Exactly one of ``phi_cut``/``theta_cut`` must be given. A phi cut sweeps
-    theta over [-pi/2, pi/2] (negative theta meaning azimuth phi + pi); a
-    theta cut sweeps phi over [0, 2*pi). Returns (angles_rad, gains_db) with
-    the dB values clamped at ``floor_db``.
+    Theta sweeps [-pi/2, pi/2], negative theta meaning azimuth phi_cut + pi.
+    Returns (angles_rad, gains_db) with the dB values clamped at
+    ``DEFAULT_FLOOR_DB``.
 
     Parameters
     ----------
     samples : int
         Number of sample points, at least 2.
     """
-    if (phi_cut is None) == (theta_cut is None):
-        raise ValueError("specify exactly one of phi_cut or theta_cut")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if phi_cut is not None:
-        angles = np.linspace(-np.pi / 2, np.pi / 2, samples)
-        power = gains(arr, w, angles, np.full(samples, float(phi_cut)))
-    else:
-        angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        power = gains(arr, w, np.full(samples, float(theta_cut)), angles)
+    angles = np.linspace(-np.pi / 2, np.pi / 2, samples)
+    power = gains(arr, w, angles, np.full(samples, float(phi_cut)))
     with np.errstate(divide="ignore"):
         level_db = 10.0 * np.log10(power)
-    return angles, np.maximum(level_db, floor_db)
+    return angles, np.maximum(level_db, DEFAULT_FLOOR_DB)
 
 
 def null_width(

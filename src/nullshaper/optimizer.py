@@ -166,20 +166,29 @@ def mitigation_effectiveness(obj: Objective, w) -> float:
 class OptimizationResult:
     """Designed weights plus diagnostics.
 
-    ``trace`` holds the design value in dB, one entry, and ``evaluations``
-    is 1 (one eigen-solve). ``loading`` is the diagonal load delta added to
-    the interferer form. ``clamped`` is true when the weighted interferer
-    gain of the design sits at or below ``EPS_DEN``, so ``psi`` reports the
-    clamp rather than the null depth.
+    ``loading`` is the diagonal load delta added to the interferer form.
+    ``clamped`` is true when the weighted interferer gain of the design
+    sits at or below ``EPS_DEN``, so ``psi`` reports the clamp rather than
+    the null depth. ``psi_db`` is ``psi`` in dB; ``trace`` holds it, one
+    entry, and ``evaluations`` is 1 (one eigen-solve).
     """
 
     weights: WeightVector
     psi: float
-    psi_db: float
-    trace: tuple[float, ...]
-    evaluations: int
     loading: float
     clamped: bool
+
+    @property
+    def psi_db(self) -> float:
+        return 10.0 * math.log10(max(self.psi, _LOG_FLOOR))
+
+    @property
+    def trace(self) -> tuple[float, ...]:
+        return (self.psi_db,)
+
+    @property
+    def evaluations(self) -> int:
+        return 1
 
 
 def _pooled(grids) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -239,6 +248,10 @@ def _designs(array: ArrayModel, users: np.ndarray, grid_lists):
     """
     size = array.size
     capacity = max(1, _BLOCK_BYTES // (16 * size * size))
+    # about 1 MiB even for one small form: freeing it also lifts glibc's
+    # mmap and trim thresholds above a sweep's per-block temporaries, which
+    # are then neither trimmed nor faulted back in, so re-measure the
+    # benchmark's leo-sweep before shrinking it
     forms = np.empty((capacity, size, size), dtype=complex)
     lists = iter(grid_lists)
     while True:
@@ -265,13 +278,4 @@ def optimize(obj: Objective) -> OptimizationResult:
     numerator, denominator = obj._terms(weights)
     clamped = denominator is not None and bool(denominator[0] <= EPS_DEN)
     psi = float(numerator[0] if denominator is None else numerator[0] / max(denominator[0], EPS_DEN))
-    psi_db = 10.0 * math.log10(max(psi, _LOG_FLOOR))
-    return OptimizationResult(
-        weights=weights,
-        psi=psi,
-        psi_db=psi_db,
-        trace=(psi_db,),
-        evaluations=1,
-        loading=loading,
-        clamped=clamped,
-    )
+    return OptimizationResult(weights, psi, loading, clamped)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array import _BLOCK_BYTES, ArrayModel, Direction, WeightVector, _weight_values, gains
+from .array import ArrayModel, Direction, WeightVector, _direction_blocks, _weight_values, gains
 from .geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
 from .optimizer import EPS_DEN, Objective, OptimizationResult, _designs, optimize
 from .uncertainty import InterfererBelief, NullSampleGrid, build_grid
@@ -304,11 +304,11 @@ def monte_carlo_sweeps(
     trial t at mean_j + sigma_i * z[t, j]. Every sigma_i point, every
     design and both metrics share these draws (common random numbers), so
     a row does not depend on the grid around it and designs differ only by
-    their weights. The points are taken in groups of about
-    ``_BLOCK_BYTES / 4`` of gains, and one ``array.gains`` call per group
-    scores every weight row on the J means and on the trials x J realised
-    directions of each of the group's points, steered in bounded blocks;
-    the first group's call scores the K users too. At sigma_i = 0 every
+    their weights. The points are taken in groups of a quarter of a
+    direction block (``array._direction_blocks``) of gains, and one
+    ``array.gains`` call per group scores every weight row on the K users,
+    the J means and the trials x J realised directions of each of the
+    group's points, steered in bounded blocks. At sigma_i = 0 every
     trial realises the J means, so the means' gains are broadcast over the
     trials and none of its trials is steered; a gain depends on its
     direction alone, so the rows equal the general path's. Each group's
@@ -352,30 +352,26 @@ def monte_carlo_sweeps(
     shape = (designs, len(sigma_list))
     psi_mean, psi_std = np.empty(shape), np.empty(shape)
     cap_mean, cap_std = np.empty(shape), np.empty(shape)
-    # groups of about a quarter steering block of float64 gains: the
-    # reductions hold about four arrays of the group's size at once, and the
-    # realised directions take two doubles per gain of one design
-    group_size = max(1, _BLOCK_BYTES // 4 // (8 * designs * trials * interferers))
-    for start in range(0, len(sigma_list), group_size):
-        group = np.array(sigma_list[start : start + group_size])
-        points = slice(start, start + len(group))
+    # a point's gains are designs x trials x J doubles, and the reductions
+    # hold about four arrays of the group's size at once, so each point
+    # counts as twice that many complex values of a direction block
+    for points in _direction_blocks(len(sigma_list), 2 * designs * trials * interferers):
+        group = np.array(sigma_list[points])
         # the grid is sorted and >= 0, so its sigma_i = 0 points lead
         zeros = np.count_nonzero(group == 0.0)
-        scored = len(users) if start == 0 else 0
         realised = means + group[zeros:, None, None, None] * z
-        directions = np.concatenate([users[:scored], means, realised.reshape(-1, 2)])
+        directions = np.concatenate([users, means, realised.reshape(-1, 2)])
         power = gains(sc.array, rows, directions[:, 0], directions[:, 1])
-        if scored:
-            # each design's K user gains as one contiguous row, so its mean
-            # rounds as Objective.user_gain_mean does for that design alone
-            user_gains = np.ascontiguousarray(power[:scored].T).mean(axis=1)[:, None, None]
-        mean_power = power[scored : scored + interferers]
+        user_power, mean_power, realised_power = np.split(power, [len(users), len(users) + interferers])
+        # each design's K user gains as one contiguous row, so its mean
+        # rounds as Objective.user_gain_mean does for that design alone
+        user_gains = np.ascontiguousarray(user_power.T).mean(axis=1)[:, None, None]
         # (designs, points, trials, J), contiguous, so each design's trials
         # at each point reduce as one contiguous row, rounding as a
         # single-design, single-point sweep does
         interferer_gains = np.empty((designs, len(group), trials, interferers))
         interferer_gains[:, :zeros] = mean_power.T[:, None, None, :]
-        realised_power = power[scored + interferers :].reshape(-1, trials, interferers, designs)
+        realised_power = realised_power.reshape(-1, trials, interferers, designs)
         interferer_gains[:, zeros:] = np.moveaxis(realised_power, -1, 0)
         per_trial = _psi_db(user_gains, interferer_gains)
         psi_mean[:, points], psi_std[:, points] = per_trial.mean(axis=-1), per_trial.std(axis=-1)
@@ -427,18 +423,13 @@ def capacity(sc: Scenario, w: WeightVector, realized_directions) -> float:
     """Shannon capacity log2(1 + SINR) of the single served user for one
     set of realised interferer directions.
 
-    ``realized_directions`` is a (J, 2) array of (theta, phi) rows or a
-    list of :class:`Direction`. Raises for K != 1. Scored exactly as one
-    trial of :func:`monte_carlo_sweeps`, with the scenario's link budget.
+    ``realized_directions`` is a (J, 2) array-like of (theta, phi) rows.
+    Raises for K != 1. Scored exactly as one trial of
+    :func:`monte_carlo_sweeps`, with the scenario's link budget.
     """
     if len(sc.users) != 1:
         raise UnsupportedScenarioError("capacity metric requires exactly one user")
-    if isinstance(realized_directions, (list, tuple)) and realized_directions and isinstance(
-        realized_directions[0], Direction
-    ):
-        realized = np.array([[d.theta, d.phi] for d in realized_directions])
-    else:
-        realized = np.asarray(realized_directions, dtype=float).reshape(-1, 2)
+    realized = np.asarray(realized_directions, dtype=float).reshape(-1, 2)
     user = sc.user_directions()[0]
     # one call scores the user and the realised directions: no gain depends
     # on the directions scored beside it
@@ -496,8 +487,8 @@ def _position_from_entry(entry: dict, what: str, extra: tuple[str, ...] = ()):
 
 def _integer(value, what: str) -> int:
     """``int(value)``, refusing a number with a fractional part instead of
-    truncating it."""
-    if isinstance(value, float) and not value.is_integer():
+    truncating it, and a JSON boolean instead of reading it as 0 or 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

@@ -327,20 +327,6 @@ class TestPatternCut:
             window = np.abs(angles - target) <= step
             assert levels[window].min() <= -35.0
 
-    def test_requires_exactly_one_cut(self):
-        arr = ArrayModel.half_wavelength(2, 2, WL)
-        w = WeightVector.uniform(4)
-        with pytest.raises(ValueError):
-            pattern_cut(arr, w, samples=10)
-        with pytest.raises(ValueError):
-            pattern_cut(arr, w, phi_cut=0.0, theta_cut=0.0, samples=10)
-
-    def test_theta_cut_sweeps_azimuth(self):
-        arr = ArrayModel.half_wavelength(4, 4, WL)
-        angles, levels = pattern_cut(arr, WeightVector.uniform(16), theta_cut=0.3, samples=360)
-        assert angles.size == levels.size == 360
-        assert angles[0] == 0.0 and angles[-1] < 2 * math.pi
-
 
 class TestNullWidth:
     def test_rectangular_notch(self):
@@ -403,6 +389,11 @@ class TestArrayModel:
         assert arr.wavelength == pytest.approx(299792458.0 / 2.0e10)
         assert arr.dx == pytest.approx(arr.wavelength / 2)
         assert arr.size == 64
+
+    @pytest.mark.parametrize("frequency_hz", [0, 0.0, -0.0, -2.0e10, math.inf, math.nan])
+    def test_frequency_not_positive_and_finite_rejected(self, frequency_hz):
+        with pytest.raises(ValueError, match="frequency must be positive and finite"):
+            ArrayModel.from_frequency(8, 8, frequency_hz)
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):

@@ -109,6 +109,9 @@ class TestCommonBehaviour:
         pytest.param(("seed",), 42.9, [], id="seed_fractional"),
         pytest.param(("array", "m"), 8.5, [], id="m_fractional"),
         pytest.param(("array", "n"), 4.5, [], id="n_fractional"),
+        # a wavelength needs a positive, finite frequency
+        pytest.param(("array", "freq_hz"), 0, [], id="freq_zero"),
+        pytest.param(("array", "freq_hz"), -0.0, [], id="freq_negative_zero"),
         # more than MAX_ELEMENTS (1024) elements
         pytest.param(("array", "m"), 257, [], id="elements_over_cap"),
         pytest.param(("array",), {"m": 1000, "n": 1000}, [], id="array_1000x1000"),

@@ -343,11 +343,11 @@ class TestMonteCarloSweep:
         grid = [0.0] + [math.radians(s) for s in (0.1, 0.4, 0.9, 1.5)]
         trials = 23
         default = monte_carlo_sweeps(sc, weights, grid, trials=trials, seed=16)
-        # a group holds _BLOCK_BYTES / 4 of (designs, points, trials, J) gains;
+        # a group holds array._BLOCK_BYTES / 4 of (designs, points, trials, J) gains;
         # groups of 1 put sigma_i = 0 alone, groups of 2 and 5 next to others
         point_bytes = 8 * len(weights) * trials * len(sc.interferers)
         for points in (1, 2, len(grid)):
-            monkeypatch.setattr(nullshaper.simulation, "_BLOCK_BYTES", 4 * points * point_bytes)
+            monkeypatch.setattr(nullshaper.array, "_BLOCK_BYTES", 4 * points * point_bytes)
             assert monte_carlo_sweeps(sc, weights, grid, trials=trials, seed=16) == default
 
     def test_several_users_score_each_designs_mean_user_gain(self):
@@ -412,14 +412,15 @@ class TestMonteCarloSweep:
         assert len(calls) == 1
         # groups of 4, 4 and 3 points
         point_bytes = 8 * len(weights) * trials * len(sc.interferers)
-        monkeypatch.setattr(nullshaper.simulation, "_BLOCK_BYTES", 4 * 4 * point_bytes)
+        monkeypatch.setattr(nullshaper.array, "_BLOCK_BYTES", 4 * 4 * point_bytes)
         calls.clear()
         assert monte_carlo_sweeps(sc, weights, grid, trials=trials, seed=19) == default
         assert len(calls) == 3
         directions = np.concatenate(calls)
-        assert np.all(directions == [user.theta, user.phi], axis=1).sum() == 1
-        # each group scores the J means, and every trial of each sigma_i > 0 point
-        assert len(directions) == len(sc.users) + 3 * len(sc.interferers) + 10 * trials
+        assert np.all(directions == [user.theta, user.phi], axis=1).sum() == 3
+        # each group scores the K users, the J means, and every trial of each
+        # sigma_i > 0 point
+        assert len(directions) == 3 * (len(sc.users) + len(sc.interferers)) + 10 * trials
 
     def test_no_weight_rows_sweep_nothing(self):
         assert monte_carlo_sweeps(make_scenario(), [], [0.0, 0.01], trials=3) == []
@@ -511,13 +512,6 @@ class TestCapacity:
         sweep = monte_carlo_sweep(sc, w, [sigma], trials=1, seed=14, metric="capacity")
         assert sweep.mean_db[0] == capacity(sc, w, realised_directions(sc, sigma, 1, 14)[0])
         assert sweep.std_db[0] == 0.0
-
-    def test_direction_list_accepted(self):
-        sc = make_scenario()
-        w = WeightVector.uniform(64)
-        a = capacity(sc, w, [Direction(0.3, 0.4)])
-        b = capacity(sc, w, [[0.3, 0.4]])
-        assert a == b
 
 
 class TestCrossover:
@@ -644,6 +638,20 @@ class TestScenarioLoading:
         raw["shaping"] = {"L": 3.0, "kappa": 1.0}
         raw["seed"] = 7.0
         assert scenario_from_dict(raw) == scenario_from_dict(self.scenario_dict())
+
+    @pytest.mark.parametrize("path", [("array", "m"), ("array", "n"), ("shaping", "L"),
+                                      ("shaping", "kappa"), ("seed",)])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_rejected_for_integer_fields(self, path, value):
+        # a JSON boolean is a Python bool, which int() would read as 1 or 0
+        raw = self.scenario_dict()
+        *parents, key = path
+        entry = raw
+        for parent in parents:
+            entry = entry[parent]
+        entry[key] = value
+        with pytest.raises(ScenarioError, match=f"{'.'.join(path)} must be an integer, got {value}"):
+            scenario_from_dict(raw)
 
     def test_shaping_and_seed_bounds(self):
         sc = scenario_from_dict(self.scenario_dict())
