@@ -124,15 +124,16 @@ class ArrayModel:
         return phasors[0] if scalar else phasors
 
 
-def _powers(phase: np.ndarray, count: int) -> np.ndarray:
+def _powers(phase: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """(P, count) powers z^0 .. z^(count-1) of the P phasors z = exp(phase),
     by doubling: the block z^k .. z^(2k-1) is z^0 .. z^(k-1) times z^k, and
     z^k is then squared, so ceil(log2(count)) multiplies build every power,
     each a product of at most that many factors. The powers are built in a
-    (count, P) array, so every multiply runs over all P directions, and
-    returned as its (P, count) view; a one-element axis is exactly 1 and
-    takes no exponential."""
-    out = np.empty((count, phase.size), dtype=complex)
+    (count, P) array, ``out`` when given, so every multiply runs over all P
+    directions, and returned as its (P, count) view; a one-element axis is
+    exactly 1 and takes no exponential."""
+    if out is None:
+        out = np.empty((count, phase.size), dtype=complex)
     out[0] = 1.0
     if count > 1:
         step, k = np.exp(phase), 1
@@ -222,7 +223,7 @@ def _direction_blocks(count: int, size: int):
 
 
 def _response_power(
-    arr: ArrayModel, rows: np.ndarray, theta: np.ndarray, phi: np.ndarray
+    arr: ArrayModel, rows: np.ndarray, theta: np.ndarray, phi: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
     """|s . w|^2 for P directions and (S, size) C-ordered weight rows: (P, S).
 
@@ -231,7 +232,9 @@ def _response_power(
     row, one BLAS product contracts the longer axis: its powers, a
     C-ordered (P, long) matrix, times W (or W^T). One ``vecdot`` per
     direction over the shorter axis finishes the sum; it conjugates its
-    first operand, so that axis's powers are built from +phase.
+    first operand, so that axis's powers are built from +phase. Both axes'
+    powers, the operand and the product are written into ``work``, a flat
+    complex buffer of at least 2 P (m + n) values.
 
     Every entry rounds the same in any block, next to any weight rows:
     each weight row has its own product, whose rows do not depend on P
@@ -244,20 +247,25 @@ def _response_power(
     count = theta.size
     if count == 1:
         theta, phi = np.repeat(theta, 2), np.repeat(phi, 2)
+    p = theta.size
     sin_theta = np.sin(theta)
     k = 2.0 * np.pi / arr.wavelength
     x = k * arr.dx * (sin_theta * np.cos(phi))
     y = k * arr.dy * (sin_theta * np.sin(phi))
     matrices = rows.reshape(-1, arr.m, arr.n)
-    if arr.m >= arr.n:
-        longer, shorter = _powers(-1j * x, arr.m), _powers(1j * y, arr.n)
-    else:
-        longer, shorter = _powers(-1j * y, arr.n), _powers(1j * x, arr.m)
+    long, short = max(arr.m, arr.n), min(arr.m, arr.n)
+    if arr.m < arr.n:  # x runs along the longer axis, y along the shorter
+        x, y = y, x
         matrices = matrices.transpose(0, 2, 1)
-    longer = np.ascontiguousarray(longer)
+    ends = np.cumsum([short, long, long]) * p
+    shorter, longer, operand, product = np.split(work[: 2 * p * (long + short)], ends)
+    shorter = _powers(1j * y, short, shorter.reshape(short, p))
+    operand = operand.reshape(p, long)
+    operand[...] = _powers(-1j * x, long, longer.reshape(long, p))
+    product = product.reshape(p, short)
     power = np.empty((count, len(matrices)))
     for s, matrix in enumerate(matrices):
-        response = np.vecdot(shorter, longer @ matrix)[:count]
+        response = np.vecdot(shorter, np.matmul(operand, matrix, out=product))[:count]
         power[:, s] = response.real**2 + response.imag**2
     return power
 
@@ -269,10 +277,10 @@ def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
     of weight rows, giving (D, S). theta and phi broadcast together and are
     flattened into the D directions; scalars drop that axis instead. The
     directions are scored in blocks of about ``_BLOCK_BYTES`` of axis
-    powers and partial sums each, so memory does not grow with D. Every
-    block, the scalar case included, is reduced by ``_response_power``,
-    one weight row at a time, so neither the blocking nor the rows scored
-    beside a row change a bit.
+    powers and partial sums each, all written into one workspace per call,
+    so memory does not grow with D. Every block, the scalar case included,
+    is reduced by ``_response_power``, one weight row at a time, so neither
+    the blocking nor the rows scored beside a row change a bit.
     """
     values = _weight_values(w, arr.size)
     # C order, so a row's matrix is laid out alike whatever stack holds it
@@ -281,8 +289,12 @@ def gains(arr: ArrayModel, w, theta, phi) -> np.ndarray:
     scalar = theta.ndim == 0
     theta, phi = theta.reshape(-1), phi.reshape(-1)
     power = np.empty((theta.size, rows.shape[0]))
-    for block in _direction_blocks(theta.size, 2 * (arr.m + arr.n)):
-        power[block] = _response_power(arr, rows, theta[block], phi[block])
+    size = 2 * (arr.m + arr.n)
+    blocks = list(_direction_blocks(theta.size, size))
+    # sized for the first block, the longest; a lone direction is scored twice
+    work = np.empty(max(2, blocks[0].stop if blocks else 0) * size, dtype=complex)
+    for block in blocks:
+        power[block] = _response_power(arr, rows, theta[block], phi[block], work)
     if values.ndim == 1:
         power = power[:, 0]
     return power[0] if scalar else power

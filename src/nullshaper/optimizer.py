@@ -28,9 +28,9 @@ The objective keeps the directions of the users and of the shaping grid,
 and the few user steering rows for the design. Every response power, user
 and grid, comes from ``array.gains``, and the design adds B up over
 blocks of grid directions, so memory does not grow with the grid. Several
-designs that share their users, such as a sweep's sigma_s values, are
-solved together: one stacked ``solve`` and one stacked ``eigh`` serve
-them all, and each design's weights are bit for bit those it gets alone.
+designs that share their users, such as a sweep's sigma_s values, share
+their user steering rows; each is then designed alone, with one
+``solve`` and one ``eigh``.
 
 Weights are returned at unit norm, which meets the power budget
 ``||w||^2 <= 1`` with equality; the ratio is scale invariant.
@@ -38,14 +38,12 @@ Weights are returned at unit norm, which meets the power budget
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .array import (
-    _BLOCK_BYTES,
     ArrayModel,
     Direction,
     WeightVector,
@@ -218,49 +216,21 @@ def _load_form(array: ArrayModel, grids, form: np.ndarray) -> float:
     return loading
 
 
-def _solved(users: np.ndarray, forms: np.ndarray, loadings: list[float]):
-    """Yield (weights, loading) for each loaded form of the (D, size, size)
-    stack, in order, from one stacked ``solve`` and one stacked ``eigh``.
-    Both run the same LAPACK call per matrix as on a lone (size, size)
-    form, so each design gets the bits it gets alone."""
-    if not loadings:
-        return
-    # a 3-D right-hand side: numpy reads a 1-D b differently across versions
-    rhs = np.broadcast_to(users.conj().T, (len(loadings), *users.T.shape))
-    solved = np.linalg.solve(forms, rhs)
-    _, vectors = np.linalg.eigh(users @ solved)
-    for x, v, loading in zip(solved, vectors, loadings):
-        best = x @ v[:, -1]
-        yield WeightVector(best / np.linalg.norm(best)), loading
-
-
 def _designs(array: ArrayModel, users: np.ndarray, grid_lists):
     """Yield (weights, loading) for each interferer grid list of
     ``grid_lists``, in order, all designed against the same (K, size) user
-    steering rows ``users``.
-
-    The lists are read lazily. Their loaded forms are stacked up to about
-    ``_BLOCK_BYTES`` (at least one form) and solved together by
-    ``_solved``, so memory stays that of one form where forms are large.
-    The weights of a grid from ``build_grid`` sum to one, so the form's
-    trace is the element count and no sigma_s takes the design out of
-    double precision.
+    steering rows ``users``: one loaded form, one ``solve`` and one
+    ``eigh`` per list, the lists read lazily. The weights of a grid from
+    ``build_grid`` sum to one, so the form's trace is the element count
+    and no sigma_s takes the design out of double precision.
     """
-    size = array.size
-    capacity = max(1, _BLOCK_BYTES // (16 * size * size))
-    # about 1 MiB even for one small form: freeing it also lifts glibc's
-    # mmap and trim thresholds above a sweep's per-block temporaries, which
-    # are then neither trimmed nor faulted back in, so re-measure the
-    # benchmark's leo-sweep before shrinking it
-    forms = np.empty((capacity, size, size), dtype=complex)
-    lists = iter(grid_lists)
-    while True:
-        loadings = []
-        for grids in itertools.islice(lists, capacity):
-            loadings.append(_load_form(array, grids, forms[len(loadings)]))
-        yield from _solved(users, forms[: len(loadings)], loadings)
-        if len(loadings) < capacity:
-            return
+    form = np.empty((array.size, array.size), dtype=complex)
+    for grids in grid_lists:
+        loading = _load_form(array, grids, form)
+        solved = np.linalg.solve(form, users.conj().T)
+        _, vectors = np.linalg.eigh(users @ solved)
+        best = solved @ vectors[:, -1]
+        yield WeightVector(best / np.linalg.norm(best)), loading
 
 
 def optimize(obj: Objective) -> OptimizationResult:
@@ -271,8 +241,8 @@ def optimize(obj: Objective) -> OptimizationResult:
     K x K form U X, and w = X c. B is added up over blocks of about
     ``array._BLOCK_BYTES`` of grid steering, so no whole grid steering
     matrix is built, and the design is scored with one more blocked pass
-    over the grid. This is the one-design case of the path that designs a
-    sweep's sigma_s values together, plus that scoring pass. Deterministic.
+    over the grid. This is the design a sweep makes for each sigma_s,
+    plus that scoring pass. Deterministic.
     """
     weights, loading = next(_designs(obj.array, obj._user_steering, [obj.interferer_grids]))
     numerator, denominator = obj._terms(weights)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -240,8 +241,7 @@ def _sweep_weights(sc: Scenario, sigmas_s) -> list[WeightVector]:
     (radians) of ``sigmas_s``, bit for bit, designed in one pass.
 
     The scenario's directions are resolved once and the users steered
-    once; each design's interferer form is built as ``optimize`` builds
-    it, and one stacked solve serves the designs (see
+    once; each design is then made as ``optimize`` makes it (see
     ``optimizer._designs``). Nothing is scored, so no design's psi is
     computed.
     """
@@ -475,20 +475,27 @@ def _position_from_entry(entry: dict, what: str, extra: tuple[str, ...] = ()):
         )
     place = ("lon_deg", "lat_deg", "alt_m") if has_ground else ("theta_deg", "phi_deg")
     _known_keys(entry, f"{what} entry", place + extra)
+    values = [_number(entry.get(key, 0.0), f"{what} entry {key}") for key in place]
     try:
-        if has_ground:
-            return GeodeticPosition.from_degrees(
-                float(entry["lon_deg"]), float(entry["lat_deg"]), float(entry.get("alt_m", 0.0))
-            )
-        return Direction.from_degrees(float(entry["theta_deg"]), float(entry["phi_deg"]))
+        return (GeodeticPosition if has_ground else Direction).from_degrees(*values)
     except ValueError as exc:
         raise ScenarioError(f"invalid {what} entry {entry}: {exc}") from exc
 
 
+def _number(value, what: str) -> float:
+    """``float(value)``, refusing anything that is not a JSON number: a
+    quoted ``"8e5"``, say, or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, what: str) -> int:
     """``int(value)``, refusing a number with a fractional part instead of
-    truncating it, and a JSON boolean instead of reading it as 0 or 1."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    truncating it, and, like ``_number``, anything that is not a JSON
+    number."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -510,22 +517,21 @@ def scenario_from_dict(raw: dict) -> Scenario:
                                       "shaping", "link_budget", "seed", "pso"))
         sat_entry = _known_keys(raw["satellite"], "satellite", ("lon_deg", "lat_deg", "alt_m"))
         satellite = GeodeticPosition.from_degrees(
-            float(sat_entry["lon_deg"]), float(sat_entry["lat_deg"]), float(sat_entry["alt_m"])
+            *(_number(sat_entry[key], f"satellite.{key}") for key in ("lon_deg", "lat_deg", "alt_m"))
         )
         arr_entry = _known_keys(raw["array"], "array", ("m", "n", "dx_over_lambda",
                                                           "dy_over_lambda", "freq_hz"))
         array = ArrayModel.from_frequency(
             _integer(arr_entry["m"], "array.m"),
             _integer(arr_entry["n"], "array.n"),
-            float(arr_entry.get("freq_hz", 2.0e10)),
-            float(arr_entry.get("dx_over_lambda", 0.5)),
-            float(arr_entry.get("dy_over_lambda", 0.5)),
+            *(_number(arr_entry.get(key, default), f"array.{key}") for key, default
+              in (("freq_hz", 2.0e10), ("dx_over_lambda", 0.5), ("dy_over_lambda", 0.5))),
         )
         users = tuple(_position_from_entry(u, "user") for u in raw["users"])
         interferers = tuple(
             InterfererSite(
                 position=_position_from_entry(j, "interferer", ("sigma_s_deg", "sigma_i_deg")),
-                sigma_s=math.radians(float(j.get("sigma_s_deg", 0.0))),
+                sigma_s=math.radians(_number(j.get("sigma_s_deg", 0.0), "interferer entry sigma_s_deg")),
             )
             for j in raw["interferers"]
         )
@@ -541,11 +547,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
             samples_per_axis=_integer(shaping.get("L", 3), "shaping.L"),
             kappa=_integer(shaping.get("kappa", 1), "shaping.kappa"),
             seed=seed,
-            link_budget=LinkBudget(**budget_entry),
+            link_budget=LinkBudget(**{k: _number(v, f"link_budget.{k}") for k, v in budget_entry.items()}),
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
     return scenario
 
