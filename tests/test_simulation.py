@@ -156,9 +156,11 @@ class TestSweepWeights:
                      interferers=sc.interferers + (second,))
         self.assert_lone_designs(sc, (0.0, 0.2, 0.6))
 
-    def test_blocked_forms(self, monkeypatch):
-        # B of 25 grid directions summed in blocks of 4
-        monkeypatch.setattr(nullshaper.array, "_BLOCK_BYTES", 16 * 64 * 4)
+    @pytest.mark.parametrize("rows_per_stack", [1, 2, 4])
+    def test_blocked_forms_and_stacks(self, rows_per_stack, monkeypatch):
+        # B of 25 grid directions summed from stacks of 1, 2 or 4 steering
+        # rows (2 and 4: the last stack holds one row)
+        monkeypatch.setattr(nullshaper.array, "_BLOCK_BYTES", 16 * 64 * rows_per_stack)
         self.assert_lone_designs(make_scenario(samples_per_axis=5), (0.0, 0.1, 0.3, 0.5))
 
     def test_single_design_keeps_its_place_in_a_longer_list(self):
