@@ -129,16 +129,18 @@ def _powers(phase: np.ndarray, count: int, out: np.ndarray | None = None) -> np.
     by doubling: the block z^k .. z^(2k-1) is z^0 .. z^(k-1) times z^k, and
     z^k is then squared, so ceil(log2(count)) multiplies build every power,
     each a product of at most that many factors. The powers are built in a
-    (count, P) array, ``out`` when given, so every multiply runs over all P
-    directions, and returned as its (P, count) view; a one-element axis is
-    exactly 1 and takes no exponential."""
+    (count, P) array, ``out`` when given, one 1-D multiply over all P
+    directions per row (a 2-D multiply goes through numpy's ufunc buffer), and
+    returned as its (P, count) view; a one-element axis is exactly 1 and
+    takes no exponential."""
     if out is None:
         out = np.empty((count, phase.size), dtype=complex)
     out[0] = 1.0
     if count > 1:
         step, k = np.exp(phase), 1
         while k < count:
-            np.multiply(out[: min(k, count - k)], step, out=out[k : 2 * k])
+            for row in range(min(k, count - k)):
+                np.multiply(out[row], step, out=out[k + row])
             step, k = step * step, 2 * k
     return out.T
 
@@ -322,10 +324,11 @@ def pattern_cut(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     angles = np.linspace(-np.pi / 2, np.pi / 2, samples)
-    power = gains(arr, w, angles, np.full(samples, float(phi_cut)))
+    level_db = gains(arr, w, angles, float(phi_cut))
     with np.errstate(divide="ignore"):
-        level_db = 10.0 * np.log10(power)
-    return angles, np.maximum(level_db, DEFAULT_FLOOR_DB)
+        np.log10(level_db, out=level_db)
+    level_db *= 10.0
+    return angles, np.maximum(level_db, DEFAULT_FLOOR_DB, out=level_db)
 
 
 def null_width(

@@ -24,13 +24,12 @@ the K x K form U (B + delta I)^-1 U^H, the design is
 sec. 6.2). One user gives the familiar ``(B + delta I)^-1 a^H``; without
 interferers B is the identity and the result is the matched beam.
 
-The objective keeps the directions of the users and of the shaping grid,
-and the few user steering rows for the design. Every response power, user
-and grid, comes from ``array.gains``, and the design adds B up over
-blocks of grid directions, so memory does not grow with the grid. Several
-designs that share their users, such as a sweep's sigma_s values, share
-their user steering rows; each is then designed alone, with one
-``solve`` and one ``eigh``.
+The objective keeps the directions of the users and of the shaping grid.
+Every response power, user and grid, comes from ``array.gains``, and the
+design adds B up over blocks of grid directions, so memory does not grow
+with the grid. Every design, ``optimize``'s or one sigma_s of a sweep, is
+one ``_design`` call: one loaded form, one ``solve`` and one ``eigh``.
+A sweep steers its users once for all its sigma_s values.
 
 Weights are returned at unit norm, which meets the power budget
 ``||w||^2 <= 1`` with equality; the ratio is scale invariant.
@@ -80,9 +79,10 @@ LOADING = 1e-8
 class Objective:
     """Mitigation effectiveness for fixed users and interferer grids.
 
-    Keeps the user directions, with their steering rows for ``optimize``'s
-    design, and the concatenated grid directions with their weights.
-    ``array.gains`` scores both, in bounded blocks, on every evaluation.
+    Keeps the user directions and the concatenated grid directions with
+    their weights, which is all that scoring needs; ``optimize`` designs
+    on the same pooled grid. ``array.gains`` scores both, in bounded
+    blocks, on every evaluation.
     An empty grid list disables the interferers (denominator pinned to 1),
     which turns the objective into plain mean user gain.
     """
@@ -103,7 +103,6 @@ class Objective:
         self.interferer_grids = tuple(interferer_grids)
 
         self._user_angles = np.array([(d.theta, d.phi) for d in self.user_directions]).T
-        self._user_steering = array.steering(*self._user_angles)
         self._grid_directions, self._grid_weights = _pooled(self.interferer_grids)
 
     @property
@@ -197,40 +196,29 @@ def _pooled(grids) -> tuple[np.ndarray | None, np.ndarray | None]:
     return np.concatenate([g.directions for g in grids]), np.concatenate([g.weights for g in grids]) / len(grids)
 
 
-def _load_form(array: ArrayModel, grids, form: np.ndarray) -> float:
-    """Fill the (size, size) ``form`` with B + delta I for one design's
-    interferer grids, the identity plus delta I without grids, and return
-    delta. B is added up over blocks of about ``_BLOCK_BYTES`` of grid
-    steering, so no whole grid steering matrix is built."""
+def _design(array: ArrayModel, users: np.ndarray, directions, weights) -> tuple[WeightVector, float]:
+    """Unit-norm weights and loading delta of one design against the (K, size)
+    user steering rows ``users`` and a grid pooled by ``_pooled``: B + delta I
+    is added up over blocks of about ``_BLOCK_BYTES`` of grid steering (the
+    identity without a grid), then one ``solve`` and one ``eigh``. A grid from
+    ``build_grid`` has weights summing to one, so the form's trace is the
+    element count and no sigma_s takes the design out of double precision."""
     size = array.size
-    directions, weights = _pooled(grids)
-    form[...] = 0.0
     if directions is None:
-        form[np.diag_indices(size)] = 1.0
+        form = np.eye(size, dtype=complex)
     else:
         for block in _direction_blocks(weights.size, size):
             grid = array.steering(directions[block, 0], directions[block, 1])
-            form += (grid.conj().T * weights[block]) @ grid
+            scaled = grid.conj()
+            scaled *= weights[block, None]
+            # the first block's product is the form, so no zero form is allocated
+            form = scaled.T @ grid if block.start == 0 else np.add(form, scaled.T @ grid, out=form)
     loading = LOADING * float(np.trace(form).real) / size
     form[np.diag_indices(size)] += loading
-    return loading
-
-
-def _designs(array: ArrayModel, users: np.ndarray, grid_lists):
-    """Yield (weights, loading) for each interferer grid list of
-    ``grid_lists``, in order, all designed against the same (K, size) user
-    steering rows ``users``: one loaded form, one ``solve`` and one
-    ``eigh`` per list, the lists read lazily. The weights of a grid from
-    ``build_grid`` sum to one, so the form's trace is the element count
-    and no sigma_s takes the design out of double precision.
-    """
-    form = np.empty((array.size, array.size), dtype=complex)
-    for grids in grid_lists:
-        loading = _load_form(array, grids, form)
-        solved = np.linalg.solve(form, users.conj().T)
-        _, vectors = np.linalg.eigh(users @ solved)
-        best = solved @ vectors[:, -1]
-        yield WeightVector(best / np.linalg.norm(best)), loading
+    solved = np.linalg.solve(form, users.conj().T)
+    _, vectors = np.linalg.eigh(users @ solved)
+    best = solved @ vectors[:, -1]
+    return WeightVector(best / np.linalg.norm(best)), loading
 
 
 def optimize(obj: Objective) -> OptimizationResult:
@@ -241,10 +229,11 @@ def optimize(obj: Objective) -> OptimizationResult:
     K x K form U X, and w = X c. B is added up over blocks of about
     ``array._BLOCK_BYTES`` of grid steering, so no whole grid steering
     matrix is built, and the design is scored with one more blocked pass
-    over the grid. This is the design a sweep makes for each sigma_s,
-    plus that scoring pass. Deterministic.
+    over the grid. A sweep makes the same ``_design`` call for each
+    sigma_s, without the scoring pass. Deterministic.
     """
-    weights, loading = next(_designs(obj.array, obj._user_steering, [obj.interferer_grids]))
+    users = obj.array.steering(*obj._user_angles)
+    weights, loading = _design(obj.array, users, obj._grid_directions, obj._grid_weights)
     numerator, denominator = obj._terms(weights)
     clamped = denominator is not None and bool(denominator[0] <= EPS_DEN)
     psi = float(numerator[0] if denominator is None else numerator[0] / max(denominator[0], EPS_DEN))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .array import ArrayModel, Direction, WeightVector, _direction_blocks, _weight_values, gains
 from .geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
-from .optimizer import EPS_DEN, Objective, OptimizationResult, _designs, optimize
+from .optimizer import EPS_DEN, Objective, OptimizationResult, _design, _pooled, optimize
 from .uncertainty import InterfererBelief, NullSampleGrid, build_grid
 
 __all__ = [
@@ -238,19 +238,17 @@ def design_weights(sc: Scenario) -> OptimizationResult:
 
 def _sweep_weights(sc: Scenario, sigmas_s) -> list[WeightVector]:
     """``design_weights(sc.with_sigma_s(s)).weights`` for each sigma_s
-    (radians) of ``sigmas_s``, bit for bit, designed in one pass.
+    (radians) of ``sigmas_s``, bit for bit.
 
     The scenario's directions are resolved once and the users steered
-    once; each design is then made as ``optimize`` makes it (see
-    ``optimizer._designs``). Nothing is scored, so no design's psi is
-    computed.
+    once; each sigma_s is then one ``optimizer._design`` call, as in
+    ``optimize``. Nothing is scored, so no design's psi is computed.
     """
     # resolve in build_objective's order before copying, so every copy
     # shares the directions
     sc.interferer_directions()
     users = sc.array.steering(*np.array([(d.theta, d.phi) for d in sc.user_directions()]).T)
-    designs = (_interferer_grids(sc.with_sigma_s(s)) for s in sigmas_s)
-    return [w for w, _ in _designs(sc.array, users, designs)]
+    return [_design(sc.array, users, *_pooled(_interferer_grids(sc.with_sigma_s(s))))[0] for s in sigmas_s]
 
 
 @dataclass(frozen=True)

@@ -484,6 +484,21 @@ class TestArrayModel:
         assert powers.shape == (z.size, count)
         assert np.array_equal(np.ascontiguousarray(powers).view(np.int64), expected.view(np.int64))
 
+    def test_powers_allocate_only_the_doubling_steps(self):
+        # z^k and its square are the only P-long temporaries; a 2-D multiply
+        # of k rows goes through numpy's ufunc buffer, up to 128 KiB more
+        p = 2048
+        phase = 1j * np.linspace(-3.0, 3.0, p)
+        out = np.empty((8, p), dtype=complex)
+        nullshaper.array._powers(phase, 8, out)
+        tracemalloc.start()
+        try:
+            nullshaper.array._powers(phase, 8, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * p * 16 + 4096
+
     def test_steering_batch_matches_scalar(self):
         arr = ArrayModel.half_wavelength(3, 4, WL)
         thetas = np.array([0.1, 0.7, 1.2])

@@ -124,6 +124,16 @@ class TestOptimize:
         result = optimize(obj)
         assert result.psi >= 0.99 * 64.0
 
+    def test_identity_form_designs_the_matched_beam(self):
+        # without interferers the loaded form is a multiple of the identity,
+        # so the design is the matched beam up to one global phase
+        arr = ArrayModel.half_wavelength(8, 8, WL)
+        d = Direction(0.35, 1.1)
+        designed = optimize(Objective(arr, [d])).weights.values
+        matched = WeightVector.matched(arr, d).values
+        phase = np.vdot(matched, designed)
+        assert np.abs(designed - matched * phase / abs(phase)).max() <= 1e-15
+
     def test_null_depth_against_projection_reference(self):
         # a projection beamformer proves a perfect null is feasible with
         # near-matched user gain; the design must get within 40 dB of the
