@@ -18,8 +18,8 @@ then a header row. Outputs are deterministic for a fixed scenario and
 seed, so re-running a command overwrites files with identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
-3 runtime error (missed rays, I/O failures, a --sigma-s whose radians
-underflow to 0).
+3 runtime error (missed rays, a target beyond the horizon, I/O failures,
+a --sigma-s whose radians underflow to 0).
 """
 
 from __future__ import annotations
@@ -319,8 +319,8 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
 
     sigma_i_rad = [math.radians(s) for s in sigma_i_deg]
 
-    # without --sigma-s the interferers share one sigma_s, so with_sigma_s
-    # of it is the scenario as loaded
+    # without --sigma-s the interferers share one sigma_s, so designing
+    # with it designs the scenario as loaded
     sigma_s_rad = ([math.radians(s) for s in sigma_s_list] if args.sigma_s
                    else [scenario.interferers[0].sigma_s])
     weights = _sweep_weights(scenario, sigma_s_rad)

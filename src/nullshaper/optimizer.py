@@ -79,10 +79,11 @@ LOADING = 1e-8
 class Objective:
     """Mitigation effectiveness for fixed users and interferer grids.
 
-    Keeps the user directions and the concatenated grid directions with
-    their weights, which is all that scoring needs; ``optimize`` designs
-    on the same pooled grid. ``array.gains`` scores both, in bounded
-    blocks, on every evaluation.
+    Keeps one (K + Z, 2) array of the K user directions followed by the
+    Z concatenated grid directions, and the grid weights, which is all that
+    scoring needs; ``optimize`` designs on the same pooled grid. One
+    ``array.gains`` call scores every direction, in bounded blocks, on
+    every evaluation.
     An empty grid list disables the interferers (denominator pinned to 1),
     which turns the objective into plain mean user gain.
     """
@@ -102,8 +103,9 @@ class Objective:
         self.user_directions = tuple(user_directions)
         self.interferer_grids = tuple(interferer_grids)
 
-        self._user_angles = np.array([(d.theta, d.phi) for d in self.user_directions]).T
-        self._grid_directions, self._grid_weights = _pooled(self.interferer_grids)
+        users = np.array([(d.theta, d.phi) for d in self.user_directions])
+        grid, self._grid_weights = _pooled(self.interferer_grids)
+        self._directions = users if grid is None else np.concatenate([users, grid])
 
     @property
     def user_count(self) -> int:
@@ -121,21 +123,21 @@ class Objective:
         """Mean user gain and weighted interferer gain (None without
         interferers) of each row of an (S, size) weight stack."""
         rows = _weight_values(weights, self.array.size).reshape(-1, self.array.size)
-        # each row's K user gains and Z grid gains as contiguous rows, reduced
-        # row by row, so a row of a stack rounds as it does alone
-        numerator = np.ascontiguousarray(gains(self.array, rows, *self._user_angles).T).mean(axis=1)
-        if self._grid_directions is None:
+        # each row's K user gains and Z grid gains as one contiguous row,
+        # reduced over its contiguous slices, so a row of a stack rounds as
+        # it does alone
+        power = np.ascontiguousarray(gains(self.array, rows, *self._directions.T).T)
+        numerator = power[:, :self.user_count].mean(axis=1)
+        if self._grid_weights is None:
             return numerator, None
-        grid = self._grid_directions
-        power = gains(self.array, rows, grid[:, 0], grid[:, 1])
-        return numerator, np.vecdot(np.ascontiguousarray(power.T), self._grid_weights)
+        return numerator, np.vecdot(power[:, self.user_count:], self._grid_weights)
 
     def user_gain_mean(self, w) -> float:
-        return float(np.mean(gains(self.array, w, *self._user_angles)))
+        return float(self._terms(self._row(w))[0][0])
 
     def interferer_gain_mean(self, w) -> float:
         """Mean over interferers of the probability-weighted gain."""
-        if self._grid_directions is None:
+        if self._grid_weights is None:
             raise ValueError("objective has no interferers")
         return float(self._terms(self._row(w))[1][0])
 
@@ -204,7 +206,7 @@ def _design(array: ArrayModel, users: np.ndarray, directions, weights) -> tuple[
     ``build_grid`` has weights summing to one, so the form's trace is the
     element count and no sigma_s takes the design out of double precision."""
     size = array.size
-    if directions is None:
+    if weights is None:
         form = np.eye(size, dtype=complex)
     else:
         for block in _direction_blocks(weights.size, size):
@@ -229,11 +231,11 @@ def optimize(obj: Objective) -> OptimizationResult:
     K x K form U X, and w = X c. B is added up over blocks of about
     ``array._BLOCK_BYTES`` of grid steering, so no whole grid steering
     matrix is built, and the design is scored with one more blocked pass
-    over the grid. A sweep makes the same ``_design`` call for each
+    over the users and the grid. A sweep makes the same ``_design`` call for each
     sigma_s, without the scoring pass. Deterministic.
     """
-    users = obj.array.steering(*obj._user_angles)
-    weights, loading = _design(obj.array, users, obj._grid_directions, obj._grid_weights)
+    users = obj.array.steering(*obj._directions[:obj.user_count].T)
+    weights, loading = _design(obj.array, users, obj._directions[obj.user_count:], obj._grid_weights)
     numerator, denominator = obj._terms(weights)
     clamped = denominator is not None and bool(denominator[0] <= EPS_DEN)
     psi = float(numerator[0] if denominator is None else numerator[0] / max(denominator[0], EPS_DEN))

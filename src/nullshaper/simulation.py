@@ -141,9 +141,9 @@ class Scenario:
 
     def user_directions(self) -> tuple[Direction, ...]:
         """The users' directions in the array frame. Ground points are
-        resolved on the first call, whose result every later call and every
-        ``with_sigma_s`` copy made after it share; a target beyond the
-        horizon raises :class:`VisibilityError` then, not at load time."""
+        resolved on the first call, whose result every later call shares;
+        a target beyond the horizon raises :class:`VisibilityError` then,
+        not at load time."""
         return self._resolved_users
 
     def interferer_directions(self) -> tuple[Direction, ...]:
@@ -152,17 +152,8 @@ class Scenario:
         return self._resolved_interferers
 
     def with_sigma_s(self, sigma_s: float) -> "Scenario":
-        """Copy of the scenario with every interferer's shaping replaced.
-
-        No position changes, so the copy shares the directions this
-        scenario has already resolved. A copy made by ``replace`` with any
-        other change resolves its own."""
-        sites = tuple(replace(j, sigma_s=sigma_s) for j in self.interferers)
-        copy = replace(self, interferers=sites)
-        for name in ("_resolved_users", "_resolved_interferers"):
-            if name in self.__dict__:
-                copy.__dict__[name] = self.__dict__[name]
-        return copy
+        """Copy of the scenario with every interferer's shaping replaced."""
+        return replace(self, interferers=tuple(replace(j, sigma_s=sigma_s) for j in self.interferers))
 
     @cached_property
     def _resolved_users(self) -> tuple[Direction, ...]:
@@ -208,20 +199,19 @@ def geodetic_to_direction(sat: GeodeticPosition, target: GeodeticPosition) -> Di
     return Direction(off_nadir, azimuth % (2.0 * math.pi))
 
 
-def _interferer_grids(sc: Scenario) -> list[NullSampleGrid]:
+def _interferer_grids(sc: Scenario, sigmas_s) -> list[NullSampleGrid]:
     """Shaped grid of each interferer's belief, with (sigma_theta,
-    sigma_phi) both equal to its sigma_s."""
-    grids = []
-    for site, mean in zip(sc.interferers, sc.interferer_directions()):
-        belief = InterfererBelief.isotropic(mean.theta, mean.phi, site.sigma_s)
-        grids.append(build_grid(belief, sc.samples_per_axis, sc.kappa))
-    return grids
+    sigma_phi) both equal to its sigma_s of ``sigmas_s``."""
+    return [build_grid(InterfererBelief.isotropic(mean.theta, mean.phi, sigma_s),
+                       sc.samples_per_axis, sc.kappa)
+            for mean, sigma_s in zip(sc.interferer_directions(), sigmas_s)]
 
 
 def build_objective(sc: Scenario) -> Objective:
     """Assemble the design objective: shaped grids from each interferer's
     belief with (sigma_theta, sigma_phi) both equal to its sigma_s."""
-    return Objective(sc.array, sc.user_directions(), _interferer_grids(sc))
+    sigmas_s = [j.sigma_s for j in sc.interferers]
+    return Objective(sc.array, sc.user_directions(), _interferer_grids(sc, sigmas_s))
 
 
 def design_weights(sc: Scenario) -> OptimizationResult:
@@ -240,15 +230,16 @@ def _sweep_weights(sc: Scenario, sigmas_s) -> list[WeightVector]:
     """``design_weights(sc.with_sigma_s(s)).weights`` for each sigma_s
     (radians) of ``sigmas_s``, bit for bit.
 
-    The scenario's directions are resolved once and the users steered
-    once; each sigma_s is then one ``optimizer._design`` call, as in
-    ``optimize``. Nothing is scored, so no design's psi is computed.
+    The users are steered once; each sigma_s then shapes every
+    interferer's grid on ``sc`` itself and is one ``optimizer._design``
+    call, as in ``optimize``. Nothing is scored, so no design's psi is
+    computed.
     """
-    # resolve in build_objective's order before copying, so every copy
-    # shares the directions
-    sc.interferer_directions()
+    # interferers resolve before users: with a user and an interferer both
+    # beyond the horizon, a sweep reports the interferer
+    sites = len(sc.interferer_directions())
     users = sc.array.steering(*np.array([(d.theta, d.phi) for d in sc.user_directions()]).T)
-    return [_design(sc.array, users, *_pooled(_interferer_grids(sc.with_sigma_s(s))))[0] for s in sigmas_s]
+    return [_design(sc.array, users, *_pooled(_interferer_grids(sc, [s] * sites)))[0] for s in sigmas_s]
 
 
 @dataclass(frozen=True)

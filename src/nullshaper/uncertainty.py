@@ -84,8 +84,8 @@ class NullSampleGrid:
 
     @classmethod
     def point(cls, theta: float, phi: float) -> "NullSampleGrid":
-        """Single direction with unit weight; used to score a realised
-        interferer position."""
+        """Single direction with unit weight: ``build_grid``'s grid of a
+        point-mass belief or of L = 1."""
         return cls(np.array([[theta, phi]]), np.array([1.0]))
 
 

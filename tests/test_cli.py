@@ -723,8 +723,8 @@ class TestHugeSigmaS:
 
 
 class TestSweepDesignsTogether:
-    """``sweep`` designs its sigma_s values in one pass, with the outputs
-    of designing them one at a time."""
+    """``sweep`` designs its sigma_s values on the scenario as loaded, with
+    the outputs of designing them one at a time."""
 
     def test_four_designs_resolve_each_ground_point_once(self, monkeypatch, tmp_path):
         calls = []
@@ -754,6 +754,19 @@ class TestSweepDesignsTogether:
         # an explicit ray never resolves the interferer
         assert main(["geodesy", "--scenario", str(scenario_path), "--out", str(tmp_path / "g"),
                      "--expected-azimuth-deg", "30", "--expected-elevation-deg", "-60"]) == 0
+
+    def test_scenario_sigma_s_designs_as_the_flag_does(self, tmp_path):
+        # leo_capacity's interferer has sigma_s_deg 0.3, so a sweep without
+        # --sigma-s designs with the scenario's own sigma_s
+        scenario = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "leo_capacity.json"
+        outs = []
+        for name, flags in (("scenario", []), ("flag", ["--sigma-s", "0.3"])):
+            out = tmp_path / name
+            assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--trials", "20",
+                         "--capacity", "--format", "both"] + flags) == 0
+            outs.append(written(out))
+        assert "sweep_sigmas_0.3.csv" in outs[0] and "sweep_capacity.svg" in outs[0]
+        assert outs[0] == outs[1]
 
     def test_design_rows_do_not_depend_on_the_designs_beside_it(self, scenario_path, tmp_path):
         outs = {}

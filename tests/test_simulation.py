@@ -134,7 +134,7 @@ class TestDesignWeights:
 
 
 class TestSweepWeights:
-    """A sweep's designs, made in one pass, equal each design made alone."""
+    """Each design of a sweep equals the design made alone."""
 
     def assert_lone_designs(self, sc, sigmas_deg):
         sigmas = [math.radians(s) for s in sigmas_deg]
@@ -147,7 +147,10 @@ class TestSweepWeights:
     @pytest.mark.parametrize("sigmas_deg", [(0.0, 0.1, 0.3, 0.5), (0.5, 0.0, 1.0), (0.0,),
                                             (1e-300, 180.0, 1e-100)])
     def test_each_design_is_its_lone_design(self, sigmas_deg):
-        self.assert_lone_designs(make_scenario(), sigmas_deg)
+        # kappa = 0 and L = 1 shape build_grid's degenerate grids: L^2 copies
+        # of the mean, and the mean alone
+        for shaping in ({}, {"kappa": 0}, {"samples_per_axis": 1}):
+            self.assert_lone_designs(make_scenario(**shaping), sigmas_deg)
 
     def test_two_users_two_interferers(self):
         sc = make_scenario()
@@ -185,14 +188,16 @@ class TestResolvedDirections:
         monkeypatch.setattr(nullshaper.simulation, "geodetic_to_direction", counted)
         return calls
 
-    def test_resolved_once_and_shared_by_with_sigma_s(self, calls):
+    def test_resolved_once_and_not_shared_by_with_sigma_s(self, calls):
         sc = make_scenario()
         users, interferers = sc.user_directions(), sc.interferer_directions()
+        assert sc.user_directions() is users and sc.interferer_directions() is interferers
         assert calls == [USER, INTERFERER]
         copy = sc.with_sigma_s(math.radians(0.7))
-        assert copy.user_directions() is users and copy.interferer_directions() is interferers
-        assert sc.user_directions() is users
-        assert len(calls) == 2
+        assert copy.user_directions() == users and copy.user_directions() is not users
+        assert copy.interferer_directions() == interferers
+        assert copy.interferer_directions() is not interferers
+        assert calls == [USER, INTERFERER, USER, INTERFERER]
 
     def test_copy_before_resolution_resolves_its_own(self, calls):
         sc = make_scenario()
