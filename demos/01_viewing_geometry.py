@@ -24,9 +24,12 @@ print(f"satellite ground position: lon {SAT_LON_DEG} deg, lat {SAT_LAT_DEG} deg"
 print("expected ray: azimuth 90 deg (east), elevation -80 deg (10 deg off nadir)\n")
 
 print("ground miss for a 0.5 deg azimuth error, by altitude:")
-for alt_km in (400, 600, 800, 1000, 1200):
-    sat = GeodeticPosition.from_degrees(SAT_LON_DEG, SAT_LAT_DEG, alt_km * 1000.0)
-    zeta = angular_deviation_to_ground_distance(sat, EXPECTED, math.radians(0.5), 0.0)
+altitudes_km = (400, 600, 800, 1000, 1200)
+sats = [GeodeticPosition.from_degrees(SAT_LON_DEG, SAT_LAT_DEG, alt_km * 1000.0)
+        for alt_km in altitudes_km]
+# a list of satellites adds a leading axis: one call solves every altitude's rays
+zetas = angular_deviation_to_ground_distance(sats, EXPECTED, math.radians(0.5), 0.0)
+for alt_km, zeta in zip(altitudes_km, zetas):
     print(f"  {alt_km:5d} km altitude -> {zeta / 1000.0:7.3f} km on the ground")
 
 print("\nground miss at 800 km, by elevation error:")

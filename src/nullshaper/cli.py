@@ -375,6 +375,8 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
         raise _UsageError("--altitudes-km values must be > 0")
     if not math.isfinite(max(args.altitudes_km) * 1000.0):
         raise _UsageError("--altitudes-km values must be finite in metres")
+    if len({f"{alt_km:g}" for alt_km in args.altitudes_km}) < len(args.altitudes_km):
+        raise _UsageError("--altitudes-km values must differ at %g precision, which labels their curves")
     deviations_deg = np.array(_grid_deg(args.deviation_max, args.deviation_step, "deviation"))
     azimuth, elevation = _expected_ray(scenario, args)
     try:
@@ -403,20 +405,17 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
     # misses the planet, and a table with no hit at all is refused
     tables = {}
     for stem, (d_az, d_el) in files.items():
-        zetas = [angular_deviation_to_ground_distance(sat, expected, d_az, d_el) / 1000.0
-                 for sat in sats]
-        if np.isnan(zetas).all():
+        zeta_km = angular_deviation_to_ground_distance(sats, expected, d_az, d_el) / 1000.0
+        if np.isnan(zeta_km).all():
             raise RayMissError(f"no look ray of the {stem} table reaches the Earth's surface")
-        tables[stem] = zetas
-    for stem, zetas in tables.items():
-        zeta_km = np.concatenate(zetas)
-        columns = (np.tile(deviations_deg, len(zetas)),
+        tables[stem] = zeta_km
+    for stem, zeta_km in tables.items():
+        hit = ~np.isnan(zeta_km)
+        columns = (np.tile(deviations_deg, len(sats)),
                    np.repeat(args.altitudes_km, deviations_deg.size),
-                   zeta_km, (~np.isnan(zeta_km)).astype(int))
-        series = {}
-        for alt_km, zeta in zip(args.altitudes_km, zetas):
-            hit = ~np.isnan(zeta)
-            series[f"{alt_km:g} km"] = (deviations_deg[hit], zeta[hit])
+                   zeta_km.ravel(), hit.ravel().astype(int))
+        series = {f"{alt_km:g} km": (deviations_deg[row_hit], zeta[row_hit])
+                  for alt_km, zeta, row_hit in zip(args.altitudes_km, zeta_km, hit)}
         _emit(args, out_dir, stem, scenario.seed,
               csv=(("deviation_deg", "altitude_km", "zeta_km", "hit"), columns),
               svg=(series, "Ground distance vs pointing deviation",

@@ -28,11 +28,11 @@ the meridian ellipse, that is everywhere more than about 43 km from the
 Earth's centre; the 4th element that :func:`ecef_to_geodetic_arrays`
 returns is true where it gave a finite solution.
 
-Look rays are intersected with the datum surface in batches, and a ray that
-misses comes back as NaN. :func:`ground_footprint` and scalar calls of
-:func:`angular_deviation_to_ground_distance` turn a miss into
-:class:`RayMissError`; array calls of the latter keep the NaN, so a table
-keeps one row per deviation.
+Look rays, from one satellite or a sequence of them, are intersected with
+the datum surface in one batch, and a ray that misses comes back as NaN.
+:func:`ground_footprint` and one-satellite, scalar-delta calls of
+:func:`angular_deviation_to_ground_distance` raise :class:`RayMissError`
+for it; other calls keep the NaN, one table row per satellite and deviation.
 """
 
 from __future__ import annotations
@@ -260,9 +260,10 @@ def _ray_ranges(origin, direction):
     return np.where(t > 0.0, t, np.nan)
 
 
-def _footprints_ecef(sat: GeodeticPosition, azimuth, elevation):
+def _footprints_ecef(sat, azimuth, elevation):
     """ECEF (x, y, z) arrays of the points where the (azimuth, elevation)
-    rays from ``sat`` first meet the datum surface; NaN where a ray misses."""
+    rays from ``sat`` first meet the datum surface; NaN where a ray misses.
+    A sequence of satellites adds a leading axis, each casting every ray."""
     if not np.all(np.isfinite(azimuth)):
         raise ValueError("non-finite azimuth")
     if not np.all(np.abs(elevation) <= math.pi / 2 + 1e-15):
@@ -272,9 +273,14 @@ def _footprints_ecef(sat: GeodeticPosition, azimuth, elevation):
     # matmul, so no bit depends on the batch size
     cos_el = np.cos(elevation)
     ned = (cos_el * np.sin(azimuth), cos_el * np.cos(azimuth), -np.sin(elevation))
-    rotation = ned_to_ecef_rotation(sat.longitude, sat.latitude)
+    # each satellite's rotation and origin, along the satellite axis if any,
+    # broadcast over the rays
+    sats, per_sat = np.ravel(sat), (-1,) * np.ndim(sat) + (1,) * np.ndim(ned[0])
+    rotation = np.stack([ned_to_ecef_rotation(s.longitude, s.latitude) for s in sats], -1)
+    rotation = rotation.reshape((3, 3) + per_sat)
     direction = tuple(row[0] * ned[0] + row[1] * ned[1] + row[2] * ned[2] for row in rotation)
-    origin = geodetic_to_ecef_arrays(sat.longitude, sat.latitude, sat.altitude)
+    geodetic = np.array([(s.longitude, s.latitude, s.altitude) for s in sats]).T
+    origin = geodetic_to_ecef_arrays(*geodetic.reshape((3,) + per_sat))
     t = _ray_ranges(origin, direction)
     return tuple(oc + t * dc for oc, dc in zip(origin, direction))
 
@@ -289,7 +295,7 @@ def ground_footprint(sat: GeodeticPosition, azimuth: float, elevation: float) ->
 
 
 def angular_deviation_to_ground_distance(
-    sat: GeodeticPosition,
+    sat,
     expected: AerPosition,
     delta_azimuth,
     delta_elevation,
@@ -299,29 +305,26 @@ def angular_deviation_to_ground_distance(
     Intersects the expected look ray and the rays perturbed by
     (delta_azimuth, delta_elevation) with the datum surface and returns the
     great-circle distances between the expected footprint and each
-    perturbed one. The deltas broadcast against each other; all rays are
-    solved in one batch, the expected ray with them, so a zero deviation
-    gives exactly 0.0 and every element carries the same bits as a
-    one-element call.
+    perturbed one. The deltas broadcast against each other, and a sequence
+    of satellites for ``sat`` adds a leading axis. All rays are solved in
+    one batch, each satellite's expected ray with them, so a zero deviation
+    gives exactly 0.0 and every element has the bits of a one-element call.
 
-    Scalar deltas return a float and raise :class:`RayMissError` when
-    either ray misses the planet. Array deltas return an ndarray of the
-    broadcast shape with NaN where a ray misses, everywhere when the
-    expected ray does.
+    One satellite and scalar deltas return a float and raise
+    :class:`RayMissError` when either ray misses the planet. Other calls
+    return an ndarray, NaN where a ray misses and along a satellite's whole
+    row where its expected ray does.
     """
     d_az, d_el = np.broadcast_arrays(
         np.asarray(delta_azimuth, dtype=float), np.asarray(delta_elevation, dtype=float)
     )
-    # element 0 is the expected ray itself
+    # element 0 of each row is the expected ray; a miss stays NaN to the end
     x, y, z = _footprints_ecef(
         sat, expected.azimuth + np.append(0.0, d_az), expected.elevation + np.append(0.0, d_el)
     )
-    distance = np.full(x.shape, np.nan)
-    hit = ~np.isnan(x)
-    if hit[0]:  # without the expected footprint no distance is defined
-        lon, lat, _, _ = ecef_to_geodetic_arrays(x[hit], y[hit], z[hit])
-        distance[hit] = _haversine_arrays(lon[0], lat[0], lon, lat)
-    distance = distance[1:].reshape(d_az.shape)
+    lon, lat, _, _ = ecef_to_geodetic_arrays(x, y, z)
+    distance = _haversine_arrays(lon[..., :1], lat[..., :1], lon[..., 1:], lat[..., 1:])
+    distance = distance.reshape(distance.shape[:-1] + d_az.shape)
     if distance.ndim == 0:
         if math.isnan(distance):
             raise RayMissError("look ray does not reach the Earth's surface")

@@ -37,6 +37,9 @@ def scenario_path(tmp_path):
     return path
 
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+
+
 def read_lines(path):
     return path.read_text().splitlines()
 
@@ -213,6 +216,17 @@ class TestPattern:
         levels = np.array([float(r[1]) for r in rows])
         assert angles[np.argmax(levels)] == pytest.approx(0.0, abs=1e-9)
         assert (levels >= -100.0).all()
+
+    @pytest.mark.parametrize("name", ["leo_capacity", "linear_null_widening"])
+    def test_long_uniform_cut_spells_every_value_as_repr(self, name, tmp_path):
+        # a 36,001-row float table takes the whole-array speller; each data
+        # line must read as the repr of the values it spells
+        assert main(["pattern", "--uniform", "--samples", "36001", "--out", str(tmp_path),
+                     "--scenario", str(SCENARIOS / f"{name}.json")]) == 0
+        lines = read_lines(tmp_path / "pattern_phi0.csv")[2:]
+        assert len(lines) == 36001
+        bad = [line for line in lines if line != ",".join(repr(float(t)) for t in line.split(","))]
+        assert not bad, bad[:3]
 
     def test_rerun_byte_identical(self, scenario_path, tmp_path):
         out = tmp_path / "out"
@@ -461,6 +475,51 @@ class TestGeodesy:
         rows = [line.split(",") for line in read_lines(out / "arc_dtheta.csv")[2:]]
         assert {(r[2] == "nan", r[3]) for r in rows if r[1] == "1e+300"} == {(True, "0")}
         assert {r[3] for r in rows if r[1] == "400.0"} == {"1"}
+
+    @pytest.mark.parametrize("altitudes", ["800,800.0000001,1200", "800,800"])
+    def test_altitudes_that_label_alike_are_usage_error(
+            self, altitudes, scenario_path, tmp_path, capsys):
+        # the CSVs would keep every altitude, but both 800s label their chart
+        # curve "800 km", and one curve would overwrite the other
+        out = tmp_path / "o"
+        assert main(["geodesy", "--scenario", str(scenario_path), "--out", str(out),
+                     "--format", "both", "--altitudes-km", altitudes]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --altitudes-km values must differ at %g precision, "
+            "which labels their curves\n")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("argv, hit_flags", [
+        # the benchmark's tables: every ray hits
+        pytest.param(["--altitudes-km", ",".join(str(km) for km in range(300, 1501, 100)),
+                      "--deviation-step", "0.01"], {"1"}, id="benchmark-tables"),
+        # from 800 km raising the -28 deg ray crosses the horizon, and from
+        # 1200 km (horizon at -32.7 deg) every ray misses
+        pytest.param(["--expected-azimuth-deg", "0", "--expected-elevation-deg", "-28",
+                      "--altitudes-km", "100,800,1200"], {"0", "1"}, id="misses"),
+    ])
+    def test_altitude_rows_do_not_depend_on_the_altitudes_beside_it(
+            self, argv, hit_flags, tmp_path):
+        # every altitude's rays are solved in one batch; each altitude's rows
+        # must be the bytes of a run with that altitude alone
+        scenario = str(SCENARIOS / "leo_capacity.json")
+        assert main(["geodesy", "--scenario", scenario, "--out", str(tmp_path / "all")] + argv) == 0
+        at = argv.index("--altitudes-km") + 1
+        tables = {stem: [line.split(",") for line in read_lines(tmp_path / "all" / f"{stem}.csv")[2:]]
+                  for stem in ("arc_dtheta", "arc_dphi")}
+        assert {row[3] for rows in tables.values() for row in rows} == hit_flags
+        for altitude in argv[at].split(","):
+            out = tmp_path / f"alone_{altitude}"
+            code = main(["geodesy", "--scenario", scenario, "--out", str(out)]
+                        + argv[:at] + [altitude] + argv[at + 1:])
+            for stem, rows in tables.items():
+                rows = [row for row in rows if row[1] == repr(float(altitude))]
+                assert rows
+                if code == 3:  # alone, a table with no hit is refused
+                    assert {row[3] for row in rows} == {"0"}
+                else:
+                    assert code == 0
+                    assert [",".join(row) for row in rows] == read_lines(out / f"{stem}.csv")[2:]
 
     def test_expected_ray_flags_must_pair(self, scenario_path, tmp_path):
         assert main(["geodesy", "--scenario", str(scenario_path),

@@ -371,10 +371,29 @@ class TestGroundDistanceFromPointingError:
             )
 
 
+def assert_elements_match_one_element_calls(stack, sats, expected, d_az, d_el):
+    """Each element of ``stack`` has the bits of its one-satellite,
+    one-element call, and is NaN where that call raises RayMissError."""
+    d_az, d_el = np.broadcast_arrays(np.asarray(d_az, dtype=float), np.asarray(d_el, dtype=float))
+    assert stack.shape == (len(sats),) + d_az.shape
+    for (s, *index), value in np.ndenumerate(stack):
+        try:
+            alone = angular_deviation_to_ground_distance(
+                sats[s], expected, d_az[tuple(index)], d_el[tuple(index)])
+        except RayMissError:
+            assert math.isnan(value)
+        else:
+            assert np.float64(alone).tobytes() == value.tobytes()
+
+
 class TestGroundDistanceBatch:
     # the horizon-crossing ray of the CLI miss test: from 800 km the horizon
     # sits at elevation -27.3 deg, so raising this ray by a degree misses
     EXPECTED = AerPosition(0.0, math.radians(-28.0), 1.0)
+    # a sequence of satellites adds a leading axis; from 1200 km the horizon
+    # sits at -32.7 deg, so these altitudes hit, straddle the horizon and miss
+    SATS = [GeodeticPosition(SAT.longitude, SAT.latitude, km * 1000.0)
+            for km in (10, 400, 800, 1200, 36000)]
 
     def test_elements_match_scalar_calls_and_misses_are_nan(self):
         d_az = np.radians([0.0, 0.2, -0.7])[:, None]
@@ -407,6 +426,55 @@ class TestGroundDistanceBatch:
         assert np.isnan(batch).all()
         with pytest.raises(RayMissError):
             angular_deviation_to_ground_distance(SAT, expected, 0.0, math.radians(-1.0))
+
+    @pytest.mark.parametrize("d_az, d_el", [
+        pytest.param(math.radians(0.3), math.radians(0.5), id="scalar"),
+        pytest.param(0.0, np.radians(np.linspace(0.0, 1.0, 11)), id="1d"),
+        pytest.param(np.radians([0.0, 0.2, -0.7])[:, None], np.radians(np.linspace(0.0, 1.0, 11)),
+                     id="broadcast-2d"),
+    ])
+    def test_stack_matches_one_satellite_calls_bit_for_bit(self, d_az, d_el):
+        stack = angular_deviation_to_ground_distance(self.SATS, self.EXPECTED, d_az, d_el)
+        assert stack.shape == (len(self.SATS),) + np.broadcast_shapes(np.shape(d_az), np.shape(d_el))
+        if stack.ndim > 1:  # a one-satellite call with scalar deltas raises on a miss
+            for sat, row in zip(self.SATS, stack):
+                alone = angular_deviation_to_ground_distance(sat, self.EXPECTED, d_az, d_el)
+                assert alone.tobytes() == row.tobytes()
+        assert_elements_match_one_element_calls(stack, self.SATS, self.EXPECTED, d_az, d_el)
+        hit = ~np.isnan(stack)
+        assert hit.any() and not hit.all()
+
+    def test_one_element_sequence_returns_an_array_and_never_raises(self):
+        expected = AerPosition(0.0, math.radians(-5.0), 1.0)
+        with pytest.raises(RayMissError):
+            angular_deviation_to_ground_distance(SAT, expected, 0.0, math.radians(4.9))
+        stack = angular_deviation_to_ground_distance([SAT], expected, 0.0, math.radians(4.9))
+        assert isinstance(stack, np.ndarray) and stack.shape == (1,)
+        assert math.isnan(stack[0])
+        hit = angular_deviation_to_ground_distance([SAT], self.EXPECTED, 0.0, 0.0)
+        assert isinstance(hit, np.ndarray) and hit.tolist() == [0.0]
+
+    def test_expected_ray_below_one_horizon_and_above_the_other(self):
+        # the horizon dips 3.2 deg from 10 km and 27.3 deg from 800 km, so a
+        # -5 deg expected ray hits from the first and misses from the second
+        expected = AerPosition(0.0, math.radians(-5.0), 1.0)
+        sats = [GeodeticPosition(SAT.longitude, SAT.latitude, km * 1000.0) for km in (10, 800)]
+        stack = angular_deviation_to_ground_distance(sats, expected, 0.0, np.radians([-1.0, 0.0, 1.0]))
+        assert np.isfinite(stack[0]).all() and stack[0, 1] == 0.0
+        assert np.isnan(stack[1]).all()
+
+    @PROPERTY
+    @given(
+        altitudes=st.lists(st.floats(1e3, 4e7), min_size=1, max_size=6),
+        elevation_deg=st.floats(-85.0, -10.0),
+        d_az=st.floats(-0.05, 0.05),
+        d_el=st.lists(st.floats(-0.05, 0.05), min_size=1, max_size=8),
+    )
+    def test_stack_elements_match_one_element_calls(self, altitudes, elevation_deg, d_az, d_el):
+        sats = [GeodeticPosition(SAT.longitude, SAT.latitude, alt) for alt in altitudes]
+        expected = AerPosition(math.radians(33.0), math.radians(elevation_deg), 1.0)
+        stack = angular_deviation_to_ground_distance(sats, expected, d_az, np.array(d_el))
+        assert_elements_match_one_element_calls(stack, sats, expected, d_az, np.array(d_el))
 
 
 class TestValueTypes:
