@@ -190,6 +190,7 @@ class TestBlockedGains:
         assert gain(arr, w.values.reshape(1, -1), d) == gain(arr, w, d)
         assert gains(arr, w.values.reshape(-1, 1), 0.3, 1.0).shape == ()
 
+    @pytest.mark.memory_bound
     def test_pattern_cut_memory_stays_bounded(self):
         # the whole 36001 x 64 complex steering matrix alone would be 37 MB
         arr = ArrayModel.half_wavelength(8, 8, WL)
@@ -202,6 +203,7 @@ class TestBlockedGains:
             tracemalloc.stop()
         assert peak < 12e6
 
+    @pytest.mark.memory_bound
     @pytest.mark.parametrize("m, n", [(20, 1), (1, 20), (1024, 1)])
     def test_one_axis_pattern_cut_memory_counts_the_powers(self, m, n):
         # a one-axis array holds as many bytes of axis powers as of phasors,
@@ -246,6 +248,7 @@ class TestFactoredGains:
         bound = 64 * np.finfo(float).eps * arr.size
         assert np.abs(gains(arr, stack, theta, phi) - expected).max() <= bound
 
+    @pytest.mark.memory_bound
     def test_square_array_cut_memory_stays_bounded(self):
         # the whole 36001 x 1024 complex steering matrix alone would be 590 MB
         arr = ArrayModel.half_wavelength(32, 32, WL)
@@ -484,6 +487,7 @@ class TestArrayModel:
         assert powers.shape == (z.size, count)
         assert np.array_equal(np.ascontiguousarray(powers).view(np.int64), expected.view(np.int64))
 
+    @pytest.mark.memory_bound
     def test_powers_allocate_only_the_doubling_steps(self):
         # z^k and its square are the only P-long temporaries; a 2-D multiply
         # of k rows goes through numpy's ufunc buffer, up to 128 KiB more

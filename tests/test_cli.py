@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from nullshaper import __version__
 from nullshaper.array import null_width
 from nullshaper import cli
 from nullshaper.cli import _write_csv, main
+from nullshaper._svg import _HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH
 
 
 @pytest.fixture()
@@ -66,6 +68,12 @@ class TestCommonBehaviour:
         assert main(["no-such-command"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_version_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"nullshaper {__version__}\n"
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--sigma-s=-0.1"],
         ["sweep", "--sigma-s", "nan"],
@@ -112,6 +120,9 @@ class TestCommonBehaviour:
         pytest.param(("seed",), 42.9, [], id="seed_fractional"),
         pytest.param(("array", "m"), 8.5, [], id="m_fractional"),
         pytest.param(("array", "n"), 4.5, [], id="n_fractional"),
+        # neither a boolean nor a quoted number is an element count
+        pytest.param(("array", "m"), True, [], id="m_true"),
+        pytest.param(("array", "m"), "8", [], id="m_quoted"),
         # a wavelength needs a positive, finite frequency
         pytest.param(("array", "freq_hz"), 0, [], id="freq_zero"),
         pytest.param(("array", "freq_hz"), -0.0, [], id="freq_negative_zero"),
@@ -203,6 +214,16 @@ class TestCommonBehaviour:
         assert (out / "pattern_phi0.csv").exists()
 
 
+@pytest.fixture(scope="class", params=["leo_capacity", "linear_null_widening"])
+def long_cut(request, tmp_path_factory):
+    """A demo scenario's 36,001-sample uniform cut, written as CSV and SVG;
+    returns the path stem of both files."""
+    out = tmp_path_factory.mktemp(request.param)
+    assert main(["pattern", "--uniform", "--samples", "36001", "--out", str(out), "--format", "both",
+                 "--scenario", str(SCENARIOS / f"{request.param}.json")]) == 0
+    return out / "pattern_phi0"
+
+
 class TestPattern:
     def test_uniform_main_lobe_at_boresight(self, scenario_path, tmp_path):
         out = tmp_path / "out"
@@ -217,16 +238,49 @@ class TestPattern:
         assert angles[np.argmax(levels)] == pytest.approx(0.0, abs=1e-9)
         assert (levels >= -100.0).all()
 
-    @pytest.mark.parametrize("name", ["leo_capacity", "linear_null_widening"])
-    def test_long_uniform_cut_spells_every_value_as_repr(self, name, tmp_path):
+    def test_long_uniform_cut_spells_every_value_as_repr(self, long_cut):
         # a 36,001-row float table takes the whole-array speller; each data
         # line must read as the repr of the values it spells
-        assert main(["pattern", "--uniform", "--samples", "36001", "--out", str(tmp_path),
-                     "--scenario", str(SCENARIOS / f"{name}.json")]) == 0
-        lines = read_lines(tmp_path / "pattern_phi0.csv")[2:]
+        lines = read_lines(long_cut.with_suffix(".csv"))[2:]
         assert len(lines) == 36001
         bad = [line for line in lines if line != ",".join(repr(float(t)) for t in line.split(","))]
         assert not bad, bad[:3]
+
+    def test_long_uniform_cut_chart_keeps_every_pixel_columns_extremes(self, long_cut):
+        # a long cut is drawn as each pixel column's first, last, lowest and
+        # highest point: at most 4 per column, each a CSV point in CSV order,
+        # and each column's lowest and highest at the chart's scaling of the CSV
+        rows = [[float(t) for t in line.split(",")] for line in read_lines(long_cut.with_suffix(".csv"))[2:]]
+        xs, ys = zip(*[r for r in rows if all(map(math.isfinite, r))])
+        drawn = long_cut.with_suffix(".svg").read_text().split('<polyline points="')[1].split('"')[0].split()
+        # the chart's scaling, as write_line_chart takes it from every finite point
+        plot_w, plot_h = _WIDTH - _MARGIN_L - _MARGIN_R, _HEIGHT - _MARGIN_T - _MARGIN_B
+        x_lo, x_hi = min(xs), max(xs)
+        pad = 0.04 * (max(ys) - min(ys))
+        y_lo, y_hi = min(ys) - pad, max(ys) + pad
+
+        def sx(x):
+            return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+        def sy(y):
+            return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+        spelled = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)]
+        columns = [math.floor(sx(x)) for x in xs]
+        by_column = collections.defaultdict(list)
+        for column, y in zip(columns, ys):
+            by_column[column].append(y)
+        drawn_y = collections.defaultdict(list)
+        row = 0
+        for point in drawn:
+            row = spelled.index(point, row)  # ValueError: not a CSV point, or out of order
+            drawn_y[columns[row]].append(point.split(",")[1])
+            row += 1
+        assert drawn_y.keys() == by_column.keys()
+        assert max(map(len, drawn_y.values())) <= 4
+        lost = [c for c, v in by_column.items()
+                if not {f"{sy(min(v)):.2f}", f"{sy(max(v)):.2f}"} <= set(drawn_y[c])]
+        assert not lost, lost[:5]
 
     def test_rerun_byte_identical(self, scenario_path, tmp_path):
         out = tmp_path / "out"
@@ -367,6 +421,23 @@ class TestSweep:
         assert not list(tmp_path.rglob("*.csv"))
         assert main(argv + ["--sigma-s", "0.1,0.5"]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["sweep_sigmas_0.1.csv", "sweep_sigmas_0.5.csv"]
+
+    def test_rows_do_not_depend_on_the_sigma_i_points_beside_them(self, tmp_path):
+        # a group of sigma_i points is scored in one gains call; the 0.5 and
+        # 1.0 deg rows must be the same in the default 11-point grid as in a
+        # 3-point one
+        tables = {}
+        for name, flags in (("default", []), ("half", ["--sigma-i-step", "0.5"])):
+            out = tmp_path / name
+            assert main(["sweep", "--scenario", str(SCENARIOS / "leo_capacity.json"), "--out", str(out),
+                         "--sigma-s", "0,0.3", "--trials", "200", "--capacity"] + flags) == 0
+            tables[name] = {f: {line.split(",")[0]: line for line in read_lines(out / f)[2:]
+                                if not line.startswith("#")}
+                            for f in ("sweep_sigmas_0.3.csv", "capacity_0.3.csv", "sweep_sigmas_0.csv")}
+        for f, rows in tables["default"].items():
+            assert (len(rows), len(tables["half"][f])) == (11, 3)
+            for sigma_i in ("0.5", "1.0"):
+                assert rows[sigma_i] == tables["half"][f][sigma_i]
 
     def test_single_trial_zero_std(self, scenario_path, tmp_path):
         out = tmp_path / "out"
@@ -655,6 +726,7 @@ class TestWriteCsvStreaming:
         _write_csv(tmp_path / "long.csv", 1, ("x", "y"), (floats, floats))
         assert spelled == [(3, 2), (4, 2), (4, 2), (1, 2)]
 
+    @pytest.mark.memory_bound
     def test_long_table_memory_is_bounded(self, tmp_path):
         angles = np.linspace(0.0, 180.0, 36001)
         columns = (angles, 30.0 * np.sin(np.radians(7.0 * angles)) - 20.0)
@@ -684,7 +756,7 @@ class TestTinySigmaS:
         assert captured.err.count("\n") == 1
         assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("sigma_s", ["1e-100", "1e-160"])
+    @pytest.mark.parametrize("sigma_s", ["1e-100", "1e-160", "1e-300"])
     def test_sweep(self, sigma_s, scenario_path, tmp_path):
         out = tmp_path / "o"
         assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),

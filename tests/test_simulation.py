@@ -109,6 +109,7 @@ class TestDesignWeights:
         assert np.vdot(result.weights.values, result.weights.values).real <= 1.0 + 1e-9
         assert result.psi > 1.0 and not result.clamped
 
+    @pytest.mark.memory_bound
     def test_design_memory_stays_bounded(self):
         # 40,000 grid directions: their whole steering matrix alone would be 41 MB
         sc = make_scenario(samples_per_axis=200)
@@ -368,6 +369,7 @@ class TestMonteCarloSweep:
                 gains(sc.array, w, mean.theta, mean.phi), EPS_DEN))
             assert psi.mean_db[0] == expected
 
+    @pytest.mark.memory_bound
     def test_sweep_memory_stays_bounded_in_the_grid(self):
         # 101 sigma_i points x 2,000 trials x 2 designs: their gains alone
         # are 3.2 MB, and one group of the whole grid peaks near 20 MB

@@ -291,6 +291,7 @@ class TestLongSeries:
         assert_same_bytes(out_dir, {"s": (xs, ys)}, as_arrays)
 
 
+@pytest.mark.memory_bound
 def test_long_chart_memory_is_bounded(tmp_path):
     x = np.linspace(0.0, 180.0, 36001)
     series = {"gain": (x, 30.0 * np.sin(np.radians(7.0 * x)) - 20.0)}
