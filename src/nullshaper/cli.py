@@ -10,8 +10,8 @@ Four subcommands drive the library against a JSON scenario file:
 Each subcommand takes only the flags it reads. All four take ``--scenario``,
 ``--out`` and ``--seed``; ``pattern``, ``optimize`` and ``sweep`` take the
 shaping overrides ``--kappa`` and ``--L``; ``pattern``, ``sweep`` and
-``geodesy`` take ``--format csv|svg|both``, which ``_emit`` alone reads.
-``optimize`` writes CSV only.
+``geodesy`` take ``--format csv|svg|both``; ``optimize`` writes CSV only.
+``_emit`` writes every file, as ``--format`` asks, and prints its path.
 
 Every CSV starts with a comment line recording the tool version and seed,
 then a header row. Outputs are deterministic for a fixed scenario and
@@ -134,10 +134,6 @@ def _emit(args, out_dir: Path, stem: str, seed: int, csv=None, svg=None) -> None
         print(f"wrote {path}")
 
 
-def _sigma_value_token(value_deg: float) -> str:
-    return f"{value_deg:g}"
-
-
 def _finite(text: str) -> float:
     """argparse type: a float that is neither NaN nor infinite."""
     value = float(text)
@@ -180,8 +176,9 @@ def _build_parser() -> _Parser:
     pattern.add_argument("--uniform", action="store_true",
                          help="skip optimisation and use uniform weights")
 
-    sub.add_parser("optimize", parents=[common, shaping],
-                   help="design weights and export them (CSV only)")
+    optimize = sub.add_parser("optimize", parents=[common, shaping],
+                              help="design weights and export them (CSV only)")
+    optimize.set_defaults(format="csv")
 
     sweep = sub.add_parser("sweep", parents=[common, shaping, charts],
                            help="robustness sweep over interferer error")
@@ -254,7 +251,7 @@ def _cmd_pattern(scenario: Scenario, args, out_dir: Path) -> int:
         scenario.array, weights, phi_cut=math.radians(phi_cut_deg), samples=args.samples
     )
     angles_deg = np.degrees(angles)
-    _emit(args, out_dir, f"pattern_phi{_sigma_value_token(phi_cut_deg)}", scenario.seed,
+    _emit(args, out_dir, f"pattern_phi{phi_cut_deg:g}", scenario.seed,
           csv=(("angle_deg", "gain_db"), (angles_deg, levels)),
           svg=({"gain": (angles_deg, levels)}, f"Gain cut at azimuth {phi_cut_deg:g} deg",
                "polar angle [deg]", "gain [dB]"))
@@ -268,19 +265,13 @@ def _cmd_optimize(scenario: Scenario, args, out_dir: Path) -> int:
 
     weights = result.weights
     m_index, n_index = np.divmod(np.arange(weights.values.size), scenario.array.n)
-    _write_csv(
-        out_dir / "weights.csv",
-        scenario.seed,
-        ("m", "n", "re", "im", "amp", "phase_rad"),
-        (m_index, n_index, weights.values.real, weights.values.imag,
-         weights.amplitudes(), weights.phases()),
-    )
-    _write_csv(
-        out_dir / "trace.csv",
-        scenario.seed,
-        ("iteration", "best_psi_db", "evaluations"),
-        ([0], [result.psi_db], [result.evaluations]),
-    )
+    _emit(args, out_dir, "weights", scenario.seed,
+          csv=(("m", "n", "re", "im", "amp", "phase_rad"),
+               (m_index, n_index, weights.values.real, weights.values.imag,
+                weights.amplitudes(), weights.phases())))
+    _emit(args, out_dir, "trace", scenario.seed,
+          csv=(("iteration", "best_psi_db", "evaluations"),
+               ([0], [result.psi_db], [result.evaluations])))
     print(
         f"psi_db={result.psi_db:.3f} evaluations={result.evaluations} "
         f"loading={result.loading:.3e} clamped={result.clamped} "
@@ -304,7 +295,7 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
     sigma_s_list = [s + 0.0 for s in sigma_s_list]
     if min(sigma_s_list) < 0 or max(sigma_s_list) > MAX_SIGMA_S_DEG:
         raise _UsageError(f"--sigma-s values must be between 0 and {MAX_SIGMA_S_DEG}")
-    if len({_sigma_value_token(s) for s in sigma_s_list}) < len(sigma_s_list):
+    if len({f"{s:g}" for s in sigma_s_list}) < len(sigma_s_list):
         raise _UsageError("--sigma-s values must differ at %g precision, which names their files")
     sigma_i_deg = _grid_deg(args.sigma_i_max, args.sigma_i_step, "sigma-i")
     if not 1 <= args.trials <= MAX_TRIALS:
@@ -338,7 +329,7 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
                 f"# crossover_vs_sigma_s_0_deg={float(cross)!r}" if cross is not None
                 else "# crossover_vs_sigma_s_0_deg=none"
             )
-        token = _sigma_value_token(sigma_s_deg)
+        token = f"{sigma_s_deg:g}"
         label = f"sigma_s={token} deg"
         psi_series[label] = (sweep.sigma_i_deg, sweep.mean_db)
         _emit(args, out_dir, f"sweep_sigmas_{token}", scenario.seed,
@@ -378,17 +369,19 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
     if len({f"{alt_km:g}" for alt_km in args.altitudes_km}) < len(args.altitudes_km):
         raise _UsageError("--altitudes-km values must differ at %g precision, which labels their curves")
     deviations_deg = np.array(_grid_deg(args.deviation_max, args.deviation_step, "deviation"))
+    if len(args.altitudes_km) * deviations_deg.size > MAX_GRID_POINTS:  # rays solved at once
+        raise _UsageError(f"altitude x deviation tables would have more than {MAX_GRID_POINTS} rows")
     azimuth, elevation = _expected_ray(scenario, args)
     try:
         expected = AerPosition(azimuth, elevation, 1.0)
     except ValueError as exc:  # only a given elevation can be out of range
         raise _UsageError(f"--expected-elevation-deg: {exc}") from exc
     swept = np.radians(deviations_deg)
-    held = math.radians(args.fixed_deviation)
+    held = np.full_like(swept, math.radians(args.fixed_deviation))
     # each table deviates the elevation by one of these; the swept ones are
     # >= 0, so the last is the farthest
     for flag, value, d_el in (("--deviation-max", args.deviation_max, swept[-1]),
-                              ("--fixed-deviation", args.fixed_deviation, held)):
+                              ("--fixed-deviation", args.fixed_deviation, held[0])):
         try:
             AerPosition(azimuth, elevation + d_el, 1.0)
         except ValueError as exc:
@@ -396,26 +389,23 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
     sats = [GeodeticPosition(scenario.satellite.longitude, scenario.satellite.latitude,
                              alt_km * 1000.0) for alt_km in args.altitudes_km]
 
-    files = {
-        # held azimuth deviation, swept elevation deviation, and vice versa
-        "arc_dtheta": (held, swept),
-        "arc_dphi": (swept, held),
-    }
-    # both tables are solved before either is written; NaN marks a ray that
-    # misses the planet, and a table with no hit at all is refused
-    tables = {}
-    for stem, (d_az, d_el) in files.items():
-        zeta_km = angular_deviation_to_ground_distance(sats, expected, d_az, d_el) / 1000.0
-        if np.isnan(zeta_km).all():
-            raise RayMissError(f"no look ray of the {stem} table reaches the Earth's surface")
-        tables[stem] = zeta_km
-    for stem, zeta_km in tables.items():
-        hit = ~np.isnan(zeta_km)
+    # both tables in one solve, on a table axis: arc_dtheta holds the azimuth
+    # deviation and sweeps the elevation one, arc_dphi the other way round;
+    # NaN marks a ray that misses the planet
+    zeta_km = angular_deviation_to_ground_distance(
+        sats, expected, [held, swept], [swept, held]) / 1000.0
+    stems = ("arc_dtheta", "arc_dphi")
+    missed = np.isnan(zeta_km).all(axis=(0, 2))
+    if missed.any():  # a table with no hit is refused before either is written
+        raise RayMissError(f"no look ray of the {stems[missed.argmax()]} table "
+                           "reaches the Earth's surface")
+    for stem, table in zip(stems, zeta_km.transpose(1, 0, 2)):
         columns = (np.tile(deviations_deg, len(sats)),
                    np.repeat(args.altitudes_km, deviations_deg.size),
-                   zeta_km.ravel(), hit.ravel().astype(int))
-        series = {f"{alt_km:g} km": (deviations_deg[row_hit], zeta[row_hit])
-                  for alt_km, zeta, row_hit in zip(args.altitudes_km, zeta_km, hit)}
+                   table.ravel(), (~np.isnan(table)).ravel().astype(int))
+        # the chart leaves out each row's missed, non-finite points
+        series = {f"{alt_km:g} km": (deviations_deg, zeta)
+                  for alt_km, zeta in zip(args.altitudes_km, table)}
         _emit(args, out_dir, stem, scenario.seed,
               csv=(("deviation_deg", "altitude_km", "zeta_km", "hit"), columns),
               svg=(series, "Ground distance vs pointing deviation",
@@ -432,26 +422,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        scenario = _apply_overrides(load_scenario(args.scenario), args)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](scenario, args, Path(args.out))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-
-    try:
-        scenario = _apply_overrides(load_scenario(args.scenario), args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return _EXIT_SCENARIO
-
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](scenario, args, out_dir)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
     except (RayMissError, VisibilityError, UnsupportedScenarioError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return _EXIT_RUNTIME

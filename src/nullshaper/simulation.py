@@ -179,17 +179,11 @@ def geodetic_to_direction(sat: GeodeticPosition, target: GeodeticPosition) -> Di
     line of sight would pass through the planet).
     """
     line_of_sight = geodetic_to_ecef(target) - geodetic_to_ecef(sat)
-    slant = np.linalg.norm(line_of_sight)
-    if not slant > 0.0:
+    if not np.linalg.norm(line_of_sight) > 0.0:
         raise VisibilityError("target coincides with the satellite")
-    up_at_target = np.array(
-        [
-            math.cos(target.latitude) * math.cos(target.longitude),
-            math.cos(target.latitude) * math.sin(target.longitude),
-            math.sin(target.latitude),
-        ]
-    )
-    if -line_of_sight @ up_at_target < 0.0:
+    # seen from above the target's horizon, the line of sight runs along the
+    # target's down axis, column 2 of its NED frame
+    if ned_to_ecef_rotation(target.longitude, target.latitude)[:, 2] @ line_of_sight < 0.0:
         raise VisibilityError(
             "satellite below the target's horizon; target is not visible"
         )

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nullshaper.geodesy
 import nullshaper.simulation
 from nullshaper import __version__
 from nullshaper.array import null_width
@@ -207,6 +208,25 @@ class TestCommonBehaviour:
             assert written(tmp_path / "in" / name) == written(tmp_path / "alone" / name)
         assert sorted(written(tmp_path / "in" / "plain")) == ["sweep_sigmas_0.3.csv"]
 
+    @pytest.mark.parametrize("error, code, prefix", [
+        (cli._UsageError, 1, "usage error: "),
+        (nullshaper.simulation.ScenarioError, 2, "scenario error: "),
+        (nullshaper.geodesy.RayMissError, 3, "runtime error: "),
+        (nullshaper.simulation.VisibilityError, 3, "runtime error: "),
+        (nullshaper.simulation.UnsupportedScenarioError, 3, "runtime error: "),
+        (OSError, 3, "i/o error: "),
+    ])
+    def test_error_from_a_command_maps_to_its_exit_code(
+            self, error, code, prefix, monkeypatch, scenario_path, tmp_path, capsys):
+        def command(scenario, args, out_dir):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "pattern", command)
+        assert main(["pattern", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{prefix}boom\n"
+        assert captured.out == ""
+
     def test_output_directory_created(self, scenario_path, tmp_path):
         out = tmp_path / "deep" / "nested" / "dir"
         assert main(["pattern", "--scenario", str(scenario_path), "--out", str(out),
@@ -336,7 +356,9 @@ class TestOptimize:
         out = tmp_path / "out"
         assert main(["optimize", "--scenario", str(scenario_path), "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        summary = captured.out
+        # one line per file, then the summary
+        *wrote, summary = captured.out.splitlines()
+        assert wrote == [f"wrote {out / 'weights.csv'}", f"wrote {out / 'trace.csv'}"]
         assert "psi_db=" in summary and "evaluations=1 " in summary and "wall_time_s=" in summary
         assert "loading=" in summary and "clamped=False" in summary
         # the fixture's legacy pso block loads without a note
@@ -491,6 +513,15 @@ class TestSweep:
         assert outs[0] == outs[1]
 
 
+#: The benchmark's geodesy tables: every ray hits.
+BENCHMARK_TABLES = ["--altitudes-km", ",".join(str(km) for km in range(300, 1501, 100)),
+                    "--deviation-step", "0.01"]
+#: From 800 km raising the -28 deg ray crosses the horizon, and from 1200 km
+#: (horizon at -32.7 deg) every ray misses.
+MISSES = ["--expected-azimuth-deg", "0", "--expected-elevation-deg", "-28",
+          "--altitudes-km", "100,800,1200"]
+
+
 class TestGeodesy:
     def test_tables_and_altitude_trend(self, scenario_path, tmp_path):
         out = tmp_path / "out"
@@ -561,13 +592,8 @@ class TestGeodesy:
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("argv, hit_flags", [
-        # the benchmark's tables: every ray hits
-        pytest.param(["--altitudes-km", ",".join(str(km) for km in range(300, 1501, 100)),
-                      "--deviation-step", "0.01"], {"1"}, id="benchmark-tables"),
-        # from 800 km raising the -28 deg ray crosses the horizon, and from
-        # 1200 km (horizon at -32.7 deg) every ray misses
-        pytest.param(["--expected-azimuth-deg", "0", "--expected-elevation-deg", "-28",
-                      "--altitudes-km", "100,800,1200"], {"0", "1"}, id="misses"),
+        pytest.param(BENCHMARK_TABLES, {"1"}, id="benchmark-tables"),
+        pytest.param(MISSES, {"0", "1"}, id="misses"),
     ])
     def test_altitude_rows_do_not_depend_on_the_altitudes_beside_it(
             self, argv, hit_flags, tmp_path):
@@ -591,6 +617,39 @@ class TestGeodesy:
                 else:
                     assert code == 0
                     assert [",".join(row) for row in rows] == read_lines(out / f"{stem}.csv")[2:]
+
+    @pytest.mark.parametrize("argv", [pytest.param(BENCHMARK_TABLES, id="benchmark-tables"),
+                                      pytest.param(MISSES, id="misses")])
+    def test_both_tables_come_from_one_solve(self, argv, monkeypatch, tmp_path):
+        # each table must carry the bits of a call that solves it alone
+        solve = nullshaper.geodesy.angular_deviation_to_ground_distance
+        calls = []
+
+        def spy(*args):
+            calls.append((args, solve(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "angular_deviation_to_ground_distance", spy)
+        assert main(["geodesy", "--scenario", str(SCENARIOS / "leo_capacity.json"),
+                     "--out", str(tmp_path)] + argv) == 0
+        [((sats, expected, d_az, d_el), both)] = calls
+        for table in range(2):
+            alone = solve(sats, expected, d_az[table], d_el[table])
+            assert both[:, table].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("altitudes, code", [("800", 0), ("400,800", 1)])
+    def test_table_rows_are_capped(self, altitudes, code, scenario_path, tmp_path, capsys):
+        # all rays of a table are solved at once, so altitudes x deviation
+        # points may not pass MAX_GRID_POINTS
+        out = tmp_path / "o"
+        assert main(["geodesy", "--scenario", str(scenario_path), "--out", str(out),
+                     "--altitudes-km", altitudes, "--deviation-step", "0.00001"]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("usage error: ")
+            assert not list(out.iterdir())
+        else:
+            rows = read_lines(out / "arc_dtheta.csv")[2:]
+            assert len(rows) == nullshaper.simulation.MAX_GRID_POINTS
 
     def test_expected_ray_flags_must_pair(self, scenario_path, tmp_path):
         assert main(["geodesy", "--scenario", str(scenario_path),

@@ -8,12 +8,14 @@
   alone in a fresh interpreter.
 - A traced benchmark run must finish with every job correct.
 
-Each test waits on one child process at a time. The benchmark runs need
-``bench/`` next to ``src/`` and write their results under ``.bench_out/``.
+Each test waits on one child process at a time. The benchmark runs use a
+copy of ``src/``, ``bench/`` and ``demos/``, so their results land under
+the copy's ``.bench_out/``, not the checkout's.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,14 +26,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "demos" / "scenarios"
 
 
-def run(argv, threads=1):
-    """Run ``python argv`` from the checkout's root with ``src`` importable
-    and BLAS on ``threads`` threads; returns the finished process."""
+def run(argv, threads=1, root=ROOT):
+    """Run ``python argv`` from ``root``, the checkout or a copy of it, with
+    its ``src`` importable and BLAS on ``threads`` threads; returns the
+    finished process."""
     # scanning every installed package for pytest plugins takes most of a
     # short pytest run's second; run_pytest loads the one these tests use
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(threads),
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=str(threads),
                PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
-    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *argv], cwd=root, env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -77,10 +80,23 @@ def test_each_memory_bounded_test_passes_in_a_fresh_interpreter():
     assert not failed, failed
 
 
+@pytest.fixture(scope="module")
+def bench_copy(tmp_path_factory):
+    """A copy of the checkout's ``src/``, ``bench/`` and ``demos/``: run.py
+    writes its results beside the ``bench/`` it runs from, and a run from
+    the checkout would overwrite the results kept there."""
+    root = tmp_path_factory.mktemp("checkout")
+    for name in ("src", "bench", "demos"):
+        shutil.copytree(ROOT / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
 @pytest.mark.parametrize("workload", ["leo-sweep", "geometry", "scaled-design"])
-def test_traced_benchmark_run_is_correct(workload):
+def test_traced_benchmark_run_is_correct(workload, bench_copy):
     # run.py exits 0 even when a job fails, so the verdict is its last line
-    done = run(["bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"])
+    done = run(["bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"],
+               root=bench_copy)
     assert done.returncode == 0, done.stderr
     last = json.loads(done.stdout.splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, (last, done.stderr)
+    assert (bench_copy / ".bench_out" / "results" / f"{workload}-seed1-trace1.json").is_file()

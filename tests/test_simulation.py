@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nullshaper.array
 import nullshaper.simulation
@@ -86,6 +88,28 @@ class TestGeodeticToDirection:
     def test_beyond_horizon_rejected(self):
         with pytest.raises(VisibilityError):
             geodetic_to_direction(SAT, GeodeticPosition.from_degrees(-41.5, 19.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sat_lon=st.floats(-180.0, 180.0), sat_lat=st.floats(-90.0, 90.0),
+           alt_km=st.floats(100.0, 2000.0), d_lon=st.floats(-40.0, 40.0),
+           d_lat=st.floats(-40.0, 40.0), target_alt_m=st.floats(-400.0, 9000.0))
+    @example(sat_lon=0.0, sat_lat=0.0, alt_km=800.0, d_lon=40.0, d_lat=0.0, target_alt_m=0.0)
+    @example(sat_lon=0.0, sat_lat=0.0, alt_km=800.0, d_lon=5.0, d_lat=0.0, target_alt_m=0.0)
+    def test_horizon_refusal_matches_the_target_up_vector(
+            self, sat_lon, sat_lat, alt_km, d_lon, d_lat, target_alt_m):
+        sat = GeodeticPosition.from_degrees(sat_lon, sat_lat, alt_km * 1e3)
+        target = GeodeticPosition.from_degrees(
+            sat_lon + d_lon, min(90.0, max(-90.0, sat_lat + d_lat)), target_alt_m)
+        # reference: the target's local up vector, built by hand
+        up = np.array([math.cos(target.latitude) * math.cos(target.longitude),
+                       math.cos(target.latitude) * math.sin(target.longitude),
+                       math.sin(target.latitude)])
+        line_of_sight = geodetic_to_ecef(target) - geodetic_to_ecef(sat)
+        if -line_of_sight @ up < 0.0:
+            with pytest.raises(VisibilityError, match="horizon"):
+                geodetic_to_direction(sat, target)
+        else:
+            geodetic_to_direction(sat, target)
 
 
 class TestDesignWeights:
