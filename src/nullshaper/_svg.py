@@ -81,13 +81,12 @@ def write_line_chart(
         if xs.shape != ys.shape:
             raise ValueError(f"series {name!r}: x and y differ in length")
         keep = np.isfinite(xs) & np.isfinite(ys)
-        finite[name] = (xs[keep], ys[keep])
-    if not any(xs.size for xs, _ in finite.values()):
+        finite[name] = (xs, ys) if keep.all() else (xs[keep], ys[keep])
+    drawn = [(xs, ys) for xs, ys in finite.values() if xs.size]
+    if not drawn:
         raise ValueError("nothing to plot")
-    all_x = np.concatenate([xs for xs, _ in finite.values()])
-    all_y = np.concatenate([ys for _, ys in finite.values()])
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    x_lo, x_hi = min(float(xs.min()) for xs, _ in drawn), max(float(xs.max()) for xs, _ in drawn)
+    y_lo, y_hi = min(float(ys.min()) for _, ys in drawn), max(float(ys.max()) for _, ys in drawn)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

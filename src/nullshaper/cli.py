@@ -66,9 +66,10 @@ _EXIT_USAGE = 1
 _EXIT_SCENARIO = 2
 _EXIT_RUNTIME = 3
 
-#: Most Monte-Carlo trials per sigma_i point. Steering is built in
-#: bounded blocks, so the cap limits run time and the per-trial arrays
-#: (a few doubles per trial, design and interferer), not steering memory.
+#: Most realised interferer positions per sigma_i point: ``--trials``
+#: times the J interferers, so J = 1 takes up to 100,000 trials. Steering
+#: is built in bounded blocks, so the cap limits run time and the sweep's
+#: arrays (about 100 B per realised position), not steering memory.
 MAX_TRIALS = 100_000
 
 
@@ -250,10 +251,10 @@ def _cmd_pattern(scenario: Scenario, args, out_dir: Path) -> int:
     angles, levels = pattern_cut(
         scenario.array, weights, phi_cut=math.radians(phi_cut_deg), samples=args.samples
     )
-    angles_deg = np.degrees(angles)
+    np.degrees(angles, out=angles)
     _emit(args, out_dir, f"pattern_phi{phi_cut_deg:g}", scenario.seed,
-          csv=(("angle_deg", "gain_db"), (angles_deg, levels)),
-          svg=({"gain": (angles_deg, levels)}, f"Gain cut at azimuth {phi_cut_deg:g} deg",
+          csv=(("angle_deg", "gain_db"), (angles, levels)),
+          svg=({"gain": (angles, levels)}, f"Gain cut at azimuth {phi_cut_deg:g} deg",
                "polar angle [deg]", "gain [dB]"))
     return _EXIT_OK
 
@@ -297,9 +298,12 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
         raise _UsageError(f"--sigma-s values must be between 0 and {MAX_SIGMA_S_DEG}")
     if len({f"{s:g}" for s in sigma_s_list}) < len(sigma_s_list):
         raise _UsageError("--sigma-s values must differ at %g precision, which names their files")
+    if args.sigma_i_max > MAX_SIGMA_S_DEG:
+        raise _UsageError(f"--sigma-i-max must be at most {MAX_SIGMA_S_DEG}")
     sigma_i_deg = _grid_deg(args.sigma_i_max, args.sigma_i_step, "sigma-i")
-    if not 1 <= args.trials <= MAX_TRIALS:
-        raise _UsageError(f"--trials must be between 1 and {MAX_TRIALS}")
+    sites = len(scenario.interferers)
+    if not 1 <= args.trials * sites <= MAX_TRIALS:
+        raise _UsageError(f"--trials times the {sites} interferer(s) must be between 1 and {MAX_TRIALS}")
     # a value whose radians underflow would design, and be compared as,
     # sigma_s = 0 while its files name it
     vanishing = [s for s in sigma_s_list if s > 0.0 and math.radians(s) == 0.0]

@@ -30,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .array import ArrayModel, Direction, WeightVector, _direction_blocks, _weight_values, gains
+from .array import (MAX_ELEMENTS, ArrayModel, Direction, WeightVector, _direction_blocks,
+                    _weight_values, gains)
 from .geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
 from .optimizer import EPS_DEN, Objective, OptimizationResult, _design, _pooled, optimize
 from .uncertainty import InterfererBelief, NullSampleGrid, build_grid
@@ -55,10 +56,9 @@ __all__ = [
 ]
 
 #: Most points any grid may have: a sweep's sigma_i grid, a geodesy
-#: deviation grid, a pattern cut, or the L x L directions of a shaping grid.
+#: deviation grid, a pattern cut, or the J x L x L directions of the J
+#: interferers' pooled shaping grids.
 MAX_GRID_POINTS = 100_001
-#: Largest shaping L, so that L * L stays within ``MAX_GRID_POINTS``.
-MAX_SAMPLES_PER_AXIS = math.isqrt(MAX_GRID_POINTS)
 #: Largest shaping kappa. Grid corners weigh exp(-kappa^2) of the centre:
 #: e^-100 at this cap, and zero, an invalid grid, by kappa = 28.
 MAX_KAPPA = 10
@@ -128,12 +128,15 @@ class Scenario:
     link_budget: LinkBudget = field(default_factory=LinkBudget)
 
     def __post_init__(self):
-        if len(self.users) < 1:
-            raise ValueError("need at least one user")
+        # the design solves a K x K problem, bounded as the N x N form is
+        if not 1 <= len(self.users) <= MAX_ELEMENTS:
+            raise ValueError(f"need between 1 and {MAX_ELEMENTS} users, got {len(self.users)}")
         if len(self.interferers) < 1:
             raise ValueError("need at least one interferer")
-        if not 1 <= self.samples_per_axis <= MAX_SAMPLES_PER_AXIS:
-            raise ValueError(f"shaping L must be between 1 and {MAX_SAMPLES_PER_AXIS}")
+        sites = len(self.interferers)
+        if self.samples_per_axis < 1 or sites * self.samples_per_axis ** 2 > MAX_GRID_POINTS:
+            raise ValueError(f"shaping L must be at least 1, and the {sites} interferer(s) "
+                             f"x L x L grid directions at most {MAX_GRID_POINTS}")
         if not 0 <= self.kappa <= MAX_KAPPA:
             raise ValueError(f"shaping kappa must be between 0 and {MAX_KAPPA}")
         if self.seed < 0:

@@ -302,6 +302,23 @@ class TestPattern:
                 if not {f"{sy(min(v)):.2f}", f"{sy(max(v)):.2f}"} <= set(drawn_y[c])]
         assert not lost, lost[:5]
 
+    @pytest.mark.memory_bound
+    def test_long_cut_command_memory_is_bounded(self, tmp_path, capsys):
+        argv = ["pattern", "--uniform", "--samples", "36001", "--format", "both",
+                "--scenario", str(SCENARIOS / "leo_capacity.json"), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        first = written(tmp_path)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beside the cut's own two arrays, neither the degrees nor the chart
+        # makes a samples-long copy (1.9 MB measured; each copy adds 0.29 MB)
+        assert peak < 2.5e6
+        assert written(tmp_path) == first
+
     def test_rerun_byte_identical(self, scenario_path, tmp_path):
         out = tmp_path / "out"
         args = ["pattern", "--scenario", str(scenario_path), "--out", str(out)]
@@ -910,6 +927,78 @@ class TestHugeSigmaS:
         self.assert_refused(optimize + ["--out", str(tmp_path / "file_above")],
                             2, "scenario error: invalid scenario: sigma_s must be between 0 and "
                                "180 deg, got 180\n", tmp_path / "file_above", capsys)
+
+
+class TestSizeBounds:
+    """Each size that a design or a sweep grows with is capped: the K users
+    (a K x K solve), the J x L x L directions of the pooled shaping grid and
+    a sweep's trials x J draws per sigma_i point; --sigma-i-max is capped at
+    180 deg as --sigma-s is. A refusal comes before any design or draw and
+    writes no file."""
+
+    @pytest.fixture(autouse=True)
+    def calls(self, monkeypatch):
+        """Names of the design and sweep calls each command makes."""
+        calls = []
+        for name in ("design_weights", "_sweep_weights", "monte_carlo_sweeps"):
+            def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        return calls
+
+    def run(self, argv, code, prefix, scenario_path, out, calls, capsys):
+        assert main(argv + ["--scenario", str(scenario_path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(prefix) and err.count("\n") == 1
+            assert calls == []
+            assert not out.exists() or not list(out.iterdir())
+
+    def with_sites(self, scenario_path, users=1, interferers=1):
+        raw = json.loads(scenario_path.read_text())
+        raw["users"] = raw["users"] * users
+        second = dict(raw["interferers"][0], lon_deg=140.0, lat_deg=-25.0)
+        raw["interferers"] = [raw["interferers"][0], second][:interferers]
+        scenario_path.write_text(json.dumps(raw))
+
+    @pytest.mark.parametrize("users, code", [(1024, 0), (1025, 2)])
+    def test_users(self, users, code, scenario_path, tmp_path, calls, capsys):
+        self.with_sites(scenario_path, users=users)
+        self.run(["pattern", "--uniform", "--samples", "181"], code,
+                 "scenario error: invalid scenario: need between 1 and 1024 users",
+                 scenario_path, tmp_path / "o", calls, capsys)
+
+    @pytest.mark.parametrize("samples, code", [(223, 0), (224, 2)])
+    def test_pooled_shaping_grid(self, samples, code, scenario_path, tmp_path, calls, capsys):
+        # two interferers pool 2 x L x L directions, at most MAX_GRID_POINTS
+        self.with_sites(scenario_path, interferers=2)
+        self.run(["optimize", "--L", str(samples)], code, "scenario error: ",
+                 scenario_path, tmp_path / "o", calls, capsys)
+        assert calls == ["design_weights"] * (code == 0)
+
+    @pytest.mark.parametrize("interferers, trials, code", [
+        (1, 100_000, 0), (2, 50_000, 0), (2, 50_001, 1)])
+    def test_trials_times_interferers(self, interferers, trials, code, scenario_path, tmp_path,
+                                      calls, capsys):
+        self.with_sites(scenario_path, interferers=interferers)
+        self.run(["sweep", "--sigma-i-max", "0", "--trials", str(trials)], code,
+                 f"usage error: --trials times the {interferers} interferer(s) must be "
+                 "between 1 and 100000", scenario_path, tmp_path / "o", calls, capsys)
+        assert calls == ["_sweep_weights", "monte_carlo_sweeps"] * (code == 0)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--sigma-i-max", "180", "--sigma-i-step", "90"], 0),
+        (["--sigma-i-max", repr(math.nextafter(180.0, math.inf)), "--sigma-i-step", "90"], 1),
+        (["--sigma-i-max", "1e300", "--sigma-i-step", "1e299"], 1),
+    ], ids=["at_cap", "just_over", "huge"])
+    def test_sigma_i_max(self, argv, code, scenario_path, tmp_path, calls, capsys):
+        self.run(["sweep", "--trials", "5"] + argv, code,
+                 "usage error: --sigma-i-max must be at most 180", scenario_path,
+                 tmp_path / "o", calls, capsys)
+        if code == 0:
+            rows = read_lines(tmp_path / "o" / "sweep_sigmas_0.3.csv")[2:]
+            assert [row.split(",")[0] for row in rows] == ["0.0", "90.0", "180.0"]
 
 
 class TestSweepDesignsTogether:

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import nullshaper.array
 import nullshaper.simulation
-from nullshaper.array import ArrayModel, Direction, WeightVector, gain, gains
+from nullshaper.array import MAX_ELEMENTS, ArrayModel, Direction, WeightVector, gain, gains
 from nullshaper.geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
 from nullshaper.optimizer import EPS_DEN, Objective, mitigation_effectiveness, optimize
 from nullshaper.simulation import (
+    MAX_GRID_POINTS,
     MAX_SIGMA_S_DEG,
     InterfererSite,
     LinkBudget,
@@ -718,3 +719,20 @@ class TestScenarioLoading:
                     {"kappa": 11}, {"seed": -1}):
             with pytest.raises(ValueError):
                 replace(sc, **bad)
+
+    def test_pooled_grid_bound(self):
+        # J interferers pool J x L x L shaping directions, at most MAX_GRID_POINTS
+        sc = scenario_from_dict(self.scenario_dict())
+        site = sc.interferers[0]
+        for sites, samples in ((2, 223), (MAX_GRID_POINTS, 1)):  # the largest accepted
+            replace(sc, interferers=(site,) * sites, samples_per_axis=samples)
+        for sites, samples in ((2, 224), (MAX_GRID_POINTS + 1, 1)):
+            with pytest.raises(ValueError, match=f"grid directions at most {MAX_GRID_POINTS}"):
+                replace(sc, interferers=(site,) * sites, samples_per_axis=samples)
+
+    def test_user_count_bound(self):
+        # the design solves a K x K problem, capped as the N x N form is
+        sc = scenario_from_dict(self.scenario_dict())
+        replace(sc, users=sc.users * MAX_ELEMENTS)  # the largest accepted
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_ELEMENTS} users"):
+            replace(sc, users=sc.users * (MAX_ELEMENTS + 1))

@@ -302,7 +302,9 @@ def test_long_chart_memory_is_bounded(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    # an all-finite series is drawn as given and bounded series by series, so
+    # no samples-long copy of it is made (1.3 MB measured; each copy is 0.29 MB)
+    assert peak < 1.6e6
     # the kept points span the same bounds, so the per-point writer draws them alike
     xs, ys = (c.tolist() for c in series["gain"])
     points, kept, _ = reference_kept(xs, ys, reference_scales({"gain": (xs, ys)})[0])
