@@ -356,12 +356,14 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
 
 
 def _expected_ray(scenario: Scenario, args) -> tuple[float, float]:
-    """Expected-ray AER angles, held fixed across the altitude sweep."""
+    """Expected-ray AER angles, held fixed across the altitude sweep: by
+    default the first interferer's direction. No other interferer is
+    resolved, so one beyond the horizon does not refuse the scenario."""
     if args.expected_azimuth_deg is not None and args.expected_elevation_deg is not None:
         return math.radians(args.expected_azimuth_deg), math.radians(args.expected_elevation_deg)
     if args.expected_azimuth_deg is not None or args.expected_elevation_deg is not None:
         raise _UsageError("give both or neither of --expected-azimuth-deg/--expected-elevation-deg")
-    mean = scenario.interferer_directions()[0]
+    mean = scenario._as_direction(scenario.interferers[0].position)
     return mean.phi, mean.theta - math.pi / 2.0
 
 

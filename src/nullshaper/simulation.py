@@ -141,6 +141,9 @@ class Scenario:
             raise ValueError(f"shaping kappa must be between 0 and {MAX_KAPPA}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # unit-norm weights reach a user gain of at most N, the element count
+        if not math.isfinite(self.link_budget.user_power * self.array.size / self.link_budget.noise_power):
+            raise ValueError("link budget user_power x elements / noise_power must be finite")
 
     def user_directions(self) -> tuple[Direction, ...]:
         """The users' directions in the array frame. Ground points are

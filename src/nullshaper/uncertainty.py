@@ -93,15 +93,16 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
     """Sample the belief on an endpoint-inclusive L x L grid over
     [mean - kappa sigma, mean + kappa sigma] per axis.
 
-    Weights are the product over both axes of exp(-z^2 / 2), z the
-    sample's offset from the mean in standard deviations, divided by their
-    sum, so they sum to one whatever the sigmas. Degenerate cases collapse
-    instead of erroring: a point-mass belief (both sigmas zero) or L = 1
-    yields a single sample of weight one. A zero sigma puts every sample of
-    its axis on the mean and contributes no factor. kappa = 0 also puts
-    every sample on the mean: the grid holds L^2 copies of the mean
-    direction, each weighted 1 / L^2, so it is the point mass at the mean
-    split into equal parts.
+    The grid is the product of two axis rules. Each axis has L nodes and
+    their factors exp(-z^2 / 2), z a node's offset from the mean in
+    standard deviations. The L^2 directions pair each theta node with each
+    phi node, theta varying slowest; each weighs the product of its two
+    factors over the sum of all products, so the weights sum to one
+    whatever the sigmas. A point-mass belief (both sigmas zero) or L = 1
+    yields a single sample of weight one. A zero sigma puts its axis's
+    nodes on the mean, with factors of one; kappa = 0 puts every node on
+    the mean, so the grid holds L^2 copies of the mean direction, each
+    weighted 1 / L^2: the point mass at the mean split into equal parts.
 
     The grid is laid out in (theta, phi) and not kept on the sky: a wide
     sigma takes theta outside [0, pi/2], and samples then alias, steering
@@ -121,23 +122,14 @@ def build_grid(belief: InterfererBelief, samples_per_axis: int, kappa: int) -> N
     count = samples_per_axis
     # mean + symmetric offsets keeps the centre sample of an odd grid exact,
     # and every sample of a kappa = 0 or zero-sigma axis on the mean
-    theta_span = kappa * belief.sigma_theta
-    phi_span = kappa * belief.sigma_phi
-    theta_grid, phi_grid = np.meshgrid(
-        belief.mean_theta + np.linspace(-theta_span, theta_span, count),
-        belief.mean_phi + np.linspace(-phi_span, phi_span, count),
-        indexing="ij",
-    )
-    directions = np.column_stack([theta_grid.ravel(), phi_grid.ravel()])
-
-    weights = np.ones(count * count)
-    for axis_values, mean, sigma in (
-        (directions[:, 0], belief.mean_theta, belief.sigma_theta),
-        (directions[:, 1], belief.mean_phi, belief.sigma_phi),
-    ):
-        if sigma > 0.0:
-            z = (axis_values - mean) / sigma
-            weights = weights * np.exp(-0.5 * z**2)
+    rules = []  # each axis's nodes and their Gaussian factors
+    for mean, sigma in ((belief.mean_theta, belief.sigma_theta), (belief.mean_phi, belief.sigma_phi)):
+        nodes = mean + np.linspace(-kappa * sigma, kappa * sigma, count)
+        factors = np.exp(-0.5 * ((nodes - mean) / sigma)**2) if sigma > 0.0 else np.ones(count)
+        rules.append((nodes, factors))
+    (thetas, theta_factors), (phis, phi_factors) = rules
+    directions = np.column_stack([np.repeat(thetas, count), np.tile(phis, count)])
+    weights = np.outer(theta_factors, phi_factors).ravel()
     return NullSampleGrid(directions, weights / weights.sum())
 
 

@@ -109,6 +109,8 @@ class TestCommonBehaviour:
         pytest.param(("array", "freq_hz"), math.nan, [], id="freq_nan"),
         pytest.param(("array", "dx_over_lambda"), math.inf, [], id="spacing_inf"),
         pytest.param(("link_budget",), {"user_power": math.nan}, [], id="user_power_nan"),
+        # 10 W x 16 elements over a subnormal noise power overflows the SINR
+        pytest.param(("link_budget",), {"noise_power": 1e-310}, [], id="noise_power_subnormal"),
         pytest.param(("seed",), -5, [], id="seed_file"),
         pytest.param((), None, ["--seed", "-1"], id="seed_flag"),
         pytest.param(("shaping", "kappa"), 11, [], id="kappa_file"),
@@ -668,6 +670,25 @@ class TestGeodesy:
             rows = read_lines(out / "arc_dtheta.csv")[2:]
             assert len(rows) == nullshaper.simulation.MAX_GRID_POINTS
 
+    @pytest.mark.parametrize("far_first, code", [(False, 0), (True, 3)])
+    def test_default_ray_resolves_only_the_first_interferer(self, far_first, code, tmp_path, capsys):
+        # the default look ray is the first interferer's; a second one beyond
+        # the horizon is never read, so it may not refuse the scenario
+        raw = json.loads((SCENARIOS / "leo_capacity.json").read_text())
+        far = dict(raw["interferers"][0], lon_deg=-41.5, lat_deg=19.0)
+        raw["interferers"] = [far] + raw["interferers"] if far_first else raw["interferers"] + [far]
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(raw))
+        assert main(["geodesy", "--scenario", str(path), "--out", str(tmp_path / "two")]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "runtime error: satellite below the target's horizon; target is not visible\n")
+            assert not list((tmp_path / "two").iterdir())
+        else:
+            assert main(["geodesy", "--scenario", str(SCENARIOS / "leo_capacity.json"),
+                         "--out", str(tmp_path / "one")]) == 0
+            assert written(tmp_path / "two") == written(tmp_path / "one")
+
     def test_expected_ray_flags_must_pair(self, scenario_path, tmp_path):
         assert main(["geodesy", "--scenario", str(scenario_path),
                      "--out", str(tmp_path / "o"),
@@ -927,6 +948,39 @@ class TestHugeSigmaS:
         self.assert_refused(optimize + ["--out", str(tmp_path / "file_above")],
                             2, "scenario error: invalid scenario: sigma_s must be between 0 and "
                                "180 deg, got 180\n", tmp_path / "file_above", capsys)
+
+
+class TestLinkBudget:
+    """Unit-norm weights reach a user gain of at most N, the element count,
+    so a budget whose user_power x N / noise_power overflows would write
+    infinite capacities; it is refused as a scenario error instead."""
+
+    SWEEP = ["sweep", "--sigma-s", "0,0.3", "--trials", "50", "--capacity", "--format", "both"]
+
+    def budget_scenario(self, tmp_path, **budget):
+        raw = json.loads((SCENARIOS / "leo_capacity.json").read_text())
+        raw["link_budget"] = budget
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    def test_overflowing_sinr_is_scenario_error(self, tmp_path, capsys):
+        path = self.budget_scenario(tmp_path, user_power=1e308)
+        out = tmp_path / "o"
+        assert main(self.SWEEP + ["--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("scenario error: invalid scenario: link budget "
+                                           "user_power x elements / noise_power must be finite\n")
+        assert not out.exists()
+
+    def test_large_finite_sinr_sweeps(self, tmp_path):
+        # 1e306 x 64 elements is finite; pytest turns an overflow's
+        # RuntimeWarning into an error
+        path = self.budget_scenario(tmp_path, user_power=1e306)
+        out = tmp_path / "o"
+        assert main(self.SWEEP + ["--scenario", str(path), "--out", str(out)]) == 0
+        for sigma_s in ("0", "0.3"):
+            rows = [line.split(",") for line in read_lines(out / f"capacity_{sigma_s}.csv")[2:]]
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row[1:3])
 
 
 class TestSizeBounds:

@@ -31,6 +31,32 @@ def normalised_density(belief, grid):
     return density / density.sum()
 
 
+def mesh_build_grid(belief, samples_per_axis, kappa):
+    """``build_grid`` in its L x L mesh form: the directions from a
+    meshgrid of the two axes' samples, and every weight worked out again
+    from the mesh's direction columns."""
+    if samples_per_axis == 1 or (belief.sigma_theta == 0.0 and belief.sigma_phi == 0.0):
+        return NullSampleGrid.point(belief.mean_theta, belief.mean_phi)
+    count = samples_per_axis
+    theta_span = kappa * belief.sigma_theta
+    phi_span = kappa * belief.sigma_phi
+    theta_grid, phi_grid = np.meshgrid(
+        belief.mean_theta + np.linspace(-theta_span, theta_span, count),
+        belief.mean_phi + np.linspace(-phi_span, phi_span, count),
+        indexing="ij",
+    )
+    directions = np.column_stack([theta_grid.ravel(), phi_grid.ravel()])
+    weights = np.ones(count * count)
+    for axis_values, mean, sigma in (
+        (directions[:, 0], belief.mean_theta, belief.sigma_theta),
+        (directions[:, 1], belief.mean_phi, belief.sigma_phi),
+    ):
+        if sigma > 0.0:
+            z = (axis_values - mean) / sigma
+            weights = weights * np.exp(-0.5 * z**2)
+    return NullSampleGrid(directions, weights / weights.sum())
+
+
 #: The 3 x 3, kappa = 1 grid's per-axis weight sum, 1 + 2 exp(-1/2).
 ONE_SIGMA_AXIS_SUM = 1.0 + 2.0 * math.exp(-0.5)
 
@@ -153,6 +179,27 @@ class TestBuildGrid:
             build_grid(belief, 0, 1)
         with pytest.raises(ValueError):
             build_grid(belief, 3, -1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        mean_theta=st.floats(-1.0, 2.0),
+        mean_phi=st.floats(-1.0, 7.0),
+        sigma_theta=st.one_of(st.just(0.0), st.floats(1e-300, math.pi)),
+        sigma_phi=st.one_of(st.just(0.0), st.floats(1e-300, math.pi)),
+        same_sigmas=st.booleans(),
+        samples=st.integers(1, 20),
+        kappa=st.integers(0, 10),
+    )
+    def test_axis_rules_match_the_mesh_form_bit_for_bit(
+            self, mean_theta, mean_phi, sigma_theta, sigma_phi, same_sigmas, samples, kappa):
+        # the grid is built from each axis's nodes and factors; every
+        # direction and weight must keep the bytes of the L x L mesh form,
+        # which takes the same products and sum over the mesh's columns
+        belief = InterfererBelief(mean_theta, mean_phi, sigma_theta,
+                                  sigma_theta if same_sigmas else sigma_phi)
+        grid, mesh = build_grid(belief, samples, kappa), mesh_build_grid(belief, samples, kappa)
+        assert grid.directions.tobytes() == mesh.directions.tobytes()
+        assert grid.weights.tobytes() == mesh.weights.tobytes()
 
 
 class TestNormalizeWeights:
