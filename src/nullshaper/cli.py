@@ -66,12 +66,6 @@ _EXIT_USAGE = 1
 _EXIT_SCENARIO = 2
 _EXIT_RUNTIME = 3
 
-#: Most realised interferer positions per sigma_i point: ``--trials``
-#: times the J interferers, so J = 1 takes up to 100,000 trials. Steering
-#: is built in bounded blocks, so the cap limits run time and the sweep's
-#: arrays (about 100 B per realised position), not steering memory.
-MAX_TRIALS = 100_000
-
 
 class _UsageError(Exception):
     pass
@@ -301,9 +295,10 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
     if args.sigma_i_max > MAX_SIGMA_S_DEG:
         raise _UsageError(f"--sigma-i-max must be at most {MAX_SIGMA_S_DEG}")
     sigma_i_deg = _grid_deg(args.sigma_i_max, args.sigma_i_step, "sigma-i")
-    sites = len(scenario.interferers)
-    if not 1 <= args.trials * sites <= MAX_TRIALS:
-        raise _UsageError(f"--trials times the {sites} interferer(s) must be between 1 and {MAX_TRIALS}")
+    # every design's gains at a sigma_i point are held at once
+    sites, most = len(scenario.interferers), MAX_GRID_POINTS // len(sigma_s_list)
+    if not 1 <= args.trials * sites <= most:
+        raise _UsageError(f"--trials times the {sites} interferer(s) must be between 1 and {most}")
     # a value whose radians underflow would design, and be compared as,
     # sigma_s = 0 while its files name it
     vanishing = [s for s in sigma_s_list if s > 0.0 and math.radians(s) == 0.0]

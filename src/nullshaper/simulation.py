@@ -33,7 +33,7 @@ import numpy as np
 from .array import (MAX_ELEMENTS, ArrayModel, Direction, WeightVector, _direction_blocks,
                     _weight_values, gains)
 from .geodesy import GeodeticPosition, geodetic_to_ecef, ned_to_ecef_rotation
-from .optimizer import EPS_DEN, Objective, OptimizationResult, _design, _pooled, optimize
+from .optimizer import EPS_DEN, _LOG_FLOOR, Objective, OptimizationResult, _design, _pooled, optimize
 from .uncertainty import InterfererBelief, NullSampleGrid, build_grid
 
 __all__ = [
@@ -55,9 +55,9 @@ __all__ = [
     "crossover_sigma",
 ]
 
-#: Most points any grid may have: a sweep's sigma_i grid, a geodesy
-#: deviation grid, a pattern cut, or the J x L x L directions of the J
-#: interferers' pooled shaping grids.
+#: Most points any grid may have: a sweep's sigma_i grid, a geodesy deviation grid, a
+#: pattern cut, the J x L x L directions of the J interferers' pooled shaping grids, or a
+#: sweep's designs x trials x J draws per sigma_i point, about 60 B each (6 MB a design).
 MAX_GRID_POINTS = 100_001
 #: Largest shaping kappa. Grid corners weigh exp(-kappa^2) of the centre:
 #: e^-100 at this cap, and zero, an invalid grid, by kappa = 28.
@@ -185,7 +185,7 @@ def geodetic_to_direction(sat: GeodeticPosition, target: GeodeticPosition) -> Di
     line of sight would pass through the planet).
     """
     line_of_sight = geodetic_to_ecef(target) - geodetic_to_ecef(sat)
-    if not np.linalg.norm(line_of_sight) > 0.0:
+    if not math.hypot(*line_of_sight) > 0.0:
         raise VisibilityError("target coincides with the satellite")
     # seen from above the target's horizon, the line of sight runs along the
     # target's down axis, column 2 of its NED frame
@@ -268,7 +268,7 @@ def _psi_db(user_gain, interferer_gains: np.ndarray) -> np.ndarray:
     """Per-trial effectiveness in dB from (..., J) point-interferer gains;
     ``user_gain`` broadcasts against the leading axes."""
     psi = user_gain / np.maximum(np.mean(interferer_gains, axis=-1), EPS_DEN)
-    return 10.0 * np.log10(np.maximum(psi, 1e-300))
+    return 10.0 * np.log10(np.maximum(psi, _LOG_FLOOR))
 
 
 def _capacity_bits(user_gain, interferer_gains: np.ndarray, budget: LinkBudget) -> np.ndarray:
@@ -448,7 +448,7 @@ def _known_keys(entry: dict, what: str, keys: tuple[str, ...]) -> dict:
     """``entry``, refusing any key outside ``keys``, so that a misspelled
     key is not silently left at its default."""
     if not isinstance(entry, dict):
-        raise ScenarioError(f"{what} must be a JSON object, got {entry!r}")
+        raise ScenarioError(f"{what} must be a JSON object, got {type(entry).__name__}")
     unknown = sorted(set(entry) - set(keys))
     if unknown:
         raise ScenarioError(f"unknown key in {what}: {', '.join(map(repr, unknown))}")
@@ -546,13 +546,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read a JSON scenario file."""
+    """Read a scenario file, a UTF-8 JSON object as :func:`scenario_from_dict` takes. A
+    file that cannot be read, is not UTF-8 JSON, nests past the parser's recursion limit or
+    holds an integer over 4,300 digits raises :class:`ScenarioError`, as a bad object does."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario file must contain a JSON object")
     return scenario_from_dict(raw)

@@ -18,6 +18,7 @@ from nullshaper import __version__
 from nullshaper.array import null_width
 from nullshaper import cli
 from nullshaper.cli import _write_csv, main
+from nullshaper.simulation import MAX_GRID_POINTS
 from nullshaper._svg import _HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH
 
 
@@ -89,7 +90,7 @@ class TestCommonBehaviour:
         ["sweep", "--sigma-i-step", "1e-12"],
         ["geodesy", "--deviation-step", "1e-12"],
         # so are trial counts and pattern samples above their caps
-        ["sweep", "--trials", "100001"],
+        ["sweep", "--trials", str(MAX_GRID_POINTS + 1)],
         ["pattern", "--samples", "100002"],
         # two --sigma-s values with one %g token would write one file twice
         ["sweep", "--sigma-s", "0.1,0.10000001"],
@@ -165,6 +166,43 @@ class TestCommonBehaviour:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"satellite": {"lon_deg": 0.0}}))
         assert main(["optimize", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"\xff\xfe{", id="not_utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested_past_parser_limit"),
+        # over the 4,300 digits Python converts a decimal integer string of
+        pytest.param(("seed", "9" * 5001), id="seed_of_5001_digits"),
+        pytest.param(b"[1, 2, 3]", id="top_level_list"),
+        pytest.param(b'"x"', id="top_level_string"),
+        pytest.param(b"null", id="top_level_null"),
+        # a value that is not an object is named by its type, not echoed
+        pytest.param(json.dumps([0.5] * 100_000).encode(), id="long_top_level_array"),
+        pytest.param(("link_budget", json.dumps([0] * 100_000)), id="long_link_budget_list"),
+        pytest.param(None, id="missing"),
+        pytest.param("directory", id="directory"),
+    ])
+    def test_unreadable_scenario_file_is_one_short_line(
+        self, content, scenario_path, tmp_path, capsys
+    ):
+        """``content`` is the file's bytes, a top-level key and the JSON text
+        it is set to in the fixture's file, None for no file or "directory"
+        for a directory at the path."""
+        if isinstance(content, tuple):
+            key, value = content
+            raw = json.loads(scenario_path.read_text())
+            raw.pop(key, None)
+            scenario_path.write_text(json.dumps(raw)[:-1] + f', "{key}": {value}}}')
+        elif isinstance(content, bytes):
+            scenario_path.write_bytes(content)
+        else:
+            scenario_path.unlink()
+            if content == "directory":
+                scenario_path.mkdir()
+        out = tmp_path / "o"
+        assert main(["optimize", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and err.count("\n") == 1 and len(err) < 400
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         # each flag belongs to subcommands that read it: geodesy takes no
@@ -986,9 +1024,9 @@ class TestLinkBudget:
 class TestSizeBounds:
     """Each size that a design or a sweep grows with is capped: the K users
     (a K x K solve), the J x L x L directions of the pooled shaping grid and
-    a sweep's trials x J draws per sigma_i point; --sigma-i-max is capped at
-    180 deg as --sigma-s is. A refusal comes before any design or draw and
-    writes no file."""
+    a sweep's designs x trials x J draws per sigma_i point; --sigma-i-max is
+    capped at 180 deg as --sigma-s is. A refusal comes before any design or
+    draw and writes no file."""
 
     @pytest.fixture(autouse=True)
     def calls(self, monkeypatch):
@@ -1031,14 +1069,25 @@ class TestSizeBounds:
                  scenario_path, tmp_path / "o", calls, capsys)
         assert calls == ["design_weights"] * (code == 0)
 
-    @pytest.mark.parametrize("interferers, trials, code", [
-        (1, 100_000, 0), (2, 50_000, 0), (2, 50_001, 1)])
-    def test_trials_times_interferers(self, interferers, trials, code, scenario_path, tmp_path,
-                                      calls, capsys):
+    @pytest.mark.parametrize("designs, interferers, trials, code", [
+        pytest.param(1, 1, 100_000, 0, id="1-100000-0"),
+        pytest.param(1, 1, MAX_GRID_POINTS, 0, id="1-100001-0"),
+        pytest.param(1, 2, 50_000, 0, id="2-50000-0"),
+        pytest.param(1, 2, 50_001, 1, id="2-50001-1"),
+        # a sweep holds every design's gains for a sigma_i point's draws
+        pytest.param(4, 1, 25_000, 0, id="4_designs-25000-0"),
+        pytest.param(4, 1, 25_001, 1, id="4_designs-25001-1"),
+        pytest.param(40, 1, 100_000, 1, id="40_designs-100000-1"),
+    ])
+    def test_trials_times_interferers(self, designs, interferers, trials, code, scenario_path,
+                                      tmp_path, calls, capsys):
         self.with_sites(scenario_path, interferers=interferers)
-        self.run(["sweep", "--sigma-i-max", "0", "--trials", str(trials)], code,
+        sigma_s = {1: [], 4: ["--sigma-s", "0,0.1,0.3,0.5"],
+                   40: ["--sigma-s", ",".join(f"{i / 10:g}" for i in range(40))]}[designs]
+        self.run(["sweep", "--sigma-i-max", "0", "--trials", str(trials)] + sigma_s, code,
                  f"usage error: --trials times the {interferers} interferer(s) must be "
-                 "between 1 and 100000", scenario_path, tmp_path / "o", calls, capsys)
+                 f"between 1 and {MAX_GRID_POINTS // designs}\n", scenario_path, tmp_path / "o",
+                 calls, capsys)
         assert calls == ["_sweep_weights", "monte_carlo_sweeps"] * (code == 0)
 
     @pytest.mark.parametrize("argv, code", [

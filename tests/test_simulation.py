@@ -90,6 +90,13 @@ class TestGeodeticToDirection:
         with pytest.raises(VisibilityError):
             geodetic_to_direction(SAT, GeodeticPosition.from_degrees(-41.5, 19.0))
 
+    def test_distant_satellite_sees_its_subsatellite_area_at_nadir(self):
+        # the squares of a 1e200 m line of sight overflow, a RuntimeWarning
+        # that pytest turns into an error
+        sat = GeodeticPosition.from_degrees(138.53, -22.024, 1e200)
+        d = geodetic_to_direction(sat, GeodeticPosition.from_degrees(136.0, -22.0))
+        assert d.theta == pytest.approx(0.0, abs=1e-15)
+
     @settings(max_examples=300, deadline=None)
     @given(sat_lon=st.floats(-180.0, 180.0), sat_lat=st.floats(-90.0, 90.0),
            alt_km=st.floats(100.0, 2000.0), d_lon=st.floats(-40.0, 40.0),
