@@ -29,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SPEED_OF_LIGHT",
-    "MAX_ELEMENTS",
     "ArrayModel",
     "Direction",
     "WeightVector",

@@ -47,10 +47,8 @@ __all__ = [
     "AerPosition",
     "RayMissError",
     "geodetic_to_ecef",
-    "geodetic_to_ecef_arrays",
     "ned_to_ecef_rotation",
     "ecef_to_geodetic",
-    "ecef_to_geodetic_arrays",
     "ground_footprint",
     "angular_deviation_to_ground_distance",
 ]

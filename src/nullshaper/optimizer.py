@@ -13,13 +13,12 @@ of the expected steering outer product and its trace is the element
 count whatever sigma_s is. The maximiser is the principal generalized
 eigenvector of (A, B), so no search is needed. B has rank at most the
 number of grid directions, usually fewer than the elements, so it is
-diagonally loaded first: the
-design is the loaded-covariance beamformer of Cox, Zeskind & Owen
-("Robust adaptive beamforming", IEEE T-ASSP 1987) and Carlson
-("Covariance matrix estimation errors and diagonal loading", IEEE T-AES
-1988). A = U^H U / K has rank K, the number of users, so the eigenvector
-lies in the span of (B + delta I)^-1 U^H: with c the top eigenvector of
-the K x K form U (B + delta I)^-1 U^H, the design is
+diagonally loaded first: the design is the loaded-covariance beamformer
+of Cox, Zeskind & Owen ("Robust adaptive beamforming", IEEE T-ASSP 1987)
+and Carlson ("Covariance matrix estimation errors and diagonal loading",
+IEEE T-AES 1988). A = U^H U / K has rank K, the number of users, so the
+eigenvector lies in the span of (B + delta I)^-1 U^H: with c the top
+eigenvector of the K x K form U (B + delta I)^-1 U^H, the design is
 ``(B + delta I)^-1 U^H c`` (Van Trees, *Optimum Array Processing*, 2002,
 sec. 6.2). One user gives the familiar ``(B + delta I)^-1 a^H``; without
 interferers B is the identity and the result is the matched beam.
@@ -53,8 +52,6 @@ from .array import (
 from .uncertainty import NullSampleGrid
 
 __all__ = [
-    "EPS_DEN",
-    "LOADING",
     "Objective",
     "OptimizationResult",
     "mitigation_effectiveness",

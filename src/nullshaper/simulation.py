@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -451,16 +452,18 @@ def _known_keys(entry: dict, what: str, keys: tuple[str, ...]) -> dict:
         raise ScenarioError(f"{what} must be a JSON object, got {type(entry).__name__}")
     unknown = sorted(set(entry) - set(keys))
     if unknown:
-        raise ScenarioError(f"unknown key in {what}: {', '.join(map(repr, unknown))}")
+        raise ScenarioError(f"unknown key in {what}: {reprlib.repr(unknown)[1:-1]}")
     return entry
 
 
 def _position_from_entry(entry: dict, what: str, extra: tuple[str, ...] = ()):
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{what} entry must be a JSON object, got {type(entry).__name__}")
     has_ground = "lon_deg" in entry and "lat_deg" in entry
     has_angle = "theta_deg" in entry and "phi_deg" in entry
     if has_ground == has_angle:
         raise ScenarioError(
-            f"{what} entry needs either lon_deg/lat_deg or theta_deg/phi_deg: {entry}"
+            f"{what} entry needs either lon_deg/lat_deg or theta_deg/phi_deg: {reprlib.repr(entry)}"
         )
     place = ("lon_deg", "lat_deg", "alt_m") if has_ground else ("theta_deg", "phi_deg")
     _known_keys(entry, f"{what} entry", place + extra)
@@ -468,14 +471,14 @@ def _position_from_entry(entry: dict, what: str, extra: tuple[str, ...] = ()):
     try:
         return (GeodeticPosition if has_ground else Direction).from_degrees(*values)
     except ValueError as exc:
-        raise ScenarioError(f"invalid {what} entry {entry}: {exc}") from exc
+        raise ScenarioError(f"invalid {what} entry {reprlib.repr(entry)}: {exc}") from exc
 
 
 def _number(value, what: str) -> float:
     """``float(value)``, refusing anything that is not a JSON number: a
     quoted ``"8e5"``, say, or a boolean."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ScenarioError(f"{what} must be a number, got {value!r}")
+        raise ScenarioError(f"{what} must be a number, got {reprlib.repr(value)}")
     return float(value)
 
 
@@ -485,7 +488,7 @@ def _integer(value, what: str) -> int:
     number."""
     integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+        raise ScenarioError(f"{what} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 
 

@@ -138,6 +138,16 @@ class TestCommonBehaviour:
         pytest.param(("link_budget",), [], [], id="link_budget_not_object"),
         # a misspelled key is refused rather than left at its default
         pytest.param(("shaping", "kapa"), 3, [], id="misspelled_key"),
+        # a long value, list or key list is abbreviated, and an entry that is
+        # not an object is named by its type, so the message stays one short line
+        pytest.param(("satellite", "alt_m"), [0] * 100_000, [], id="alt_m_list"),
+        pytest.param(("users",), [[0] * 100_000], [], id="user_entry_list"),
+        pytest.param(("users",), [5], [], id="user_entry_int"),
+        pytest.param(("users", 0, "lon_deg"), "x" * 100_000, [], id="lon_deg_string"),
+        pytest.param(("seed",), "9" * 100_000, [], id="seed_string"),
+        pytest.param(("interferers", 0, "sigma_s_deg"), [0] * 100_000, [], id="sigma_s_deg_list"),
+        pytest.param(("shaping",), {f"k{i}": 1 for i in range(100_000)}, [], id="many_unknown_keys"),
+        pytest.param(("shaping",), {"k" * 100_000: 1}, [], id="one_long_key"),
     ])
     def test_out_of_range_value_is_validation_error(
         self, path, value, argv, scenario_path, tmp_path, capsys
@@ -150,11 +160,11 @@ class TestCommonBehaviour:
                 entry = entry[parent]
             entry[key] = value
         scenario_path.write_text(json.dumps(raw))  # NaN and Infinity as JSON allows
-        code = main(["optimize", "--scenario", str(scenario_path),
-                     "--out", str(tmp_path / "o")] + argv)
-        assert code == 2
-        assert capsys.readouterr().err.startswith("scenario error: ")
-        assert not list(tmp_path.rglob("*.csv"))
+        out = tmp_path / "o"
+        assert main(["optimize", "--scenario", str(scenario_path), "--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and err.count("\n") == 1 and len(err) < 400
+        assert not out.exists()
 
     def test_missing_scenario_is_validation_error(self, tmp_path, capsys):
         code = main(["pattern", "--scenario", str(tmp_path / "nope.json"),

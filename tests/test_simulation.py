@@ -656,6 +656,15 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("section", ["users", "interferers"])
+    @pytest.mark.parametrize("entry", [5, [0.0]], ids=["int", "list"])
+    def test_entry_that_is_not_an_object_is_named_by_its_type(self, section, entry):
+        raw = self.scenario_dict()
+        raw[section] = [entry]
+        kind = type(entry).__name__
+        with pytest.raises(ScenarioError, match=f"^{section[:-1]} entry must be a JSON object, got {kind}$"):
+            scenario_from_dict(raw)
+
     def test_missing_satellite_rejected(self):
         raw = self.scenario_dict()
         del raw["satellite"]
