@@ -38,7 +38,8 @@ for kappa in (1, 2, 3):
 
 print(
     "\nThe notch width tracks the sampled band (+/- kappa degrees here)"
-    "\nwhile the user lobe stays put. Export the full patterns with:"
+    "\nwhile the user lobe stays put. Export the full pattern for a kappa by"
+    "\nsetting shaping.kappa in demos/scenarios/linear_null_widening.json and running:"
     "\n  nullshaper pattern --scenario demos/scenarios/linear_null_widening.json \\"
-    "\n      --kappa 3 --out out/ --format both"
+    "\n      --out out/ --format both"
 )

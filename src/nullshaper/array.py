@@ -191,9 +191,6 @@ class WeightVector:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return self.values.size
-
     @classmethod
     def uniform(cls, size: int) -> "WeightVector":
         return cls(np.full(size, 1.0 / math.sqrt(size), dtype=complex))

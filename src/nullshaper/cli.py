@@ -8,8 +8,8 @@ Four subcommands drive the library against a JSON scenario file:
 * ``geodesy``   - pointing-error to ground-distance tables over altitude
 
 Each subcommand takes only the flags it reads. All four take ``--scenario``,
-``--out`` and ``--seed``; ``pattern``, ``optimize`` and ``sweep`` take the
-shaping overrides ``--kappa`` and ``--L``; ``pattern``, ``sweep`` and
+``--out`` and ``--seed``, the one override of the scenario file, which alone
+sets the shaping grid and ``geodesy``'s look ray; ``pattern``, ``sweep`` and
 ``geodesy`` take ``--format csv|svg|both``; ``optimize`` writes CSV only.
 ``_emit`` writes every file, as ``--format`` asks, and prints its path.
 
@@ -156,14 +156,10 @@ def _build_parser() -> _Parser:
     common.add_argument("--scenario", required=True, help="scenario JSON file")
     common.add_argument("--out", required=True, help="output directory (created on demand)")
     common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    shaping = _Parser(add_help=False)
-    shaping.add_argument("--kappa", type=int, default=None, help="override shaping kappa")
-    shaping.add_argument("--L", dest="samples_per_axis", type=int, default=None,
-                         help="override shaping samples per axis")
     charts = _Parser(add_help=False)
     charts.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
 
-    pattern = sub.add_parser("pattern", parents=[common, shaping, charts],
+    pattern = sub.add_parser("pattern", parents=[common, charts],
                              help="export a gain pattern cut")
     pattern.add_argument("--phi-cut", type=_finite, default=0.0,
                          help="azimuth of the cut plane in degrees (default 0)")
@@ -171,11 +167,11 @@ def _build_parser() -> _Parser:
     pattern.add_argument("--uniform", action="store_true",
                          help="skip optimisation and use uniform weights")
 
-    optimize = sub.add_parser("optimize", parents=[common, shaping],
+    optimize = sub.add_parser("optimize", parents=[common],
                               help="design weights and export them (CSV only)")
     optimize.set_defaults(format="csv")
 
-    sweep = sub.add_parser("sweep", parents=[common, shaping, charts],
+    sweep = sub.add_parser("sweep", parents=[common, charts],
                            help="robustness sweep over interferer error")
     sweep.add_argument("--trials", type=int, default=1000,
                        help="Monte-Carlo trials per sigma_i point (default 1000)")
@@ -197,21 +193,13 @@ def _build_parser() -> _Parser:
     geodesy.add_argument("--deviation-step", type=_finite, default=0.1)
     geodesy.add_argument("--fixed-deviation", type=_finite, default=0.5,
                          help="held deviation of the other axis in degrees")
-    geodesy.add_argument("--expected-azimuth-deg", type=_finite, default=None,
-                         help="expected-ray azimuth; default derived from the first interferer")
-    geodesy.add_argument("--expected-elevation-deg", type=_finite, default=None,
-                         help="expected-ray elevation; default derived from the first interferer")
     return parser
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    """The scenario with the --seed, --kappa and --L flags that were given,
-    validated by the scenario itself. A flag the subcommand lacks reads as None."""
-    names = ("seed", "kappa", "samples_per_axis")
-    given = vars(args)
-    overrides = {name: given[name] for name in names if given.get(name) is not None}
+    """The scenario with --seed, when given, validated by the scenario itself."""
     try:
-        return replace(scenario, **overrides)
+        return scenario if args.seed is None else replace(scenario, seed=args.seed)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -350,14 +338,9 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: Path) -> int:
     return _EXIT_OK
 
 
-def _expected_ray(scenario: Scenario, args) -> tuple[float, float]:
-    """Expected-ray AER angles, held fixed across the altitude sweep: by
-    default the first interferer's direction. No other interferer is
-    resolved, so one beyond the horizon does not refuse the scenario."""
-    if args.expected_azimuth_deg is not None and args.expected_elevation_deg is not None:
-        return math.radians(args.expected_azimuth_deg), math.radians(args.expected_elevation_deg)
-    if args.expected_azimuth_deg is not None or args.expected_elevation_deg is not None:
-        raise _UsageError("give both or neither of --expected-azimuth-deg/--expected-elevation-deg")
+def _expected_ray(scenario: Scenario) -> tuple[float, float]:
+    """Expected-ray AER angles, held across the altitudes: the first interferer's
+    direction. No other interferer is resolved, so one beyond the horizon refuses nothing."""
     mean = scenario._as_direction(scenario.interferers[0].position)
     return mean.phi, mean.theta - math.pi / 2.0
 
@@ -372,11 +355,8 @@ def _cmd_geodesy(scenario: Scenario, args, out_dir: Path) -> int:
     deviations_deg = np.array(_grid_deg(args.deviation_max, args.deviation_step, "deviation"))
     if len(args.altitudes_km) * deviations_deg.size > MAX_GRID_POINTS:  # rays solved at once
         raise _UsageError(f"altitude x deviation tables would have more than {MAX_GRID_POINTS} rows")
-    azimuth, elevation = _expected_ray(scenario, args)
-    try:
-        expected = AerPosition(azimuth, elevation, 1.0)
-    except ValueError as exc:  # only a given elevation can be out of range
-        raise _UsageError(f"--expected-elevation-deg: {exc}") from exc
+    azimuth, elevation = _expected_ray(scenario)
+    expected = AerPosition(azimuth, elevation, 1.0)
     swept = np.radians(deviations_deg)
     held = np.full_like(swept, math.radians(args.fixed_deviation))
     # each table deviates the elevation by one of these; the swept ones are

@@ -84,7 +84,6 @@ class TestCommonBehaviour:
         ["geodesy", "--deviation-max", "nan"],
         ["geodesy", "--altitudes-km=-7000"],
         ["geodesy", "--fixed-deviation", "nan"],
-        ["geodesy", "--expected-azimuth-deg", "inf", "--expected-elevation-deg", "-30"],
         ["pattern", "--phi-cut", "inf"],
         # grids above MAX_GRID_POINTS are refused before they are allocated
         ["sweep", "--sigma-i-step", "1e-12"],
@@ -95,10 +94,13 @@ class TestCommonBehaviour:
         # two --sigma-s values with one %g token would write one file twice
         ["sweep", "--sigma-s", "0.1,0.10000001"],
         ["sweep", "--sigma-s", "0,-0"],
-        # an elevation beyond +/-90 deg names no look ray
-        ["geodesy", "--expected-azimuth-deg", "0", "--expected-elevation-deg", "100"],
         # 1e306 km is finite, but not in metres
         ["geodesy", "--altitudes-km", "400,1e306"],
+        # a grid needs a step above 0 and a maximum of at least 0
+        ["sweep", "--sigma-i-step", "0"],
+        ["geodesy", "--deviation-max", "-1"],
+        # a list flag needs at least one value
+        ["sweep", "--sigma-s", ","],
     ])
     def test_bad_numeric_flag_is_usage_error(self, argv, scenario_path, tmp_path, capsys):
         assert main(argv + ["--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
@@ -115,9 +117,7 @@ class TestCommonBehaviour:
         pytest.param(("seed",), -5, [], id="seed_file"),
         pytest.param((), None, ["--seed", "-1"], id="seed_flag"),
         pytest.param(("shaping", "kappa"), 11, [], id="kappa_file"),
-        pytest.param((), None, ["--kappa", "11"], id="kappa_flag"),
         pytest.param(("shaping", "L"), 317, [], id="L_file"),
-        pytest.param((), None, ["--L", "317"], id="L_flag"),
         # integer fields refuse a fractional part rather than truncating it
         pytest.param(("shaping", "L"), 3.7, [], id="L_fractional"),
         pytest.param(("shaping", "kappa"), 1.9, [], id="kappa_fractional"),
@@ -165,6 +165,15 @@ class TestCommonBehaviour:
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and err.count("\n") == 1 and len(err) < 400
         assert not out.exists()
+
+    def test_invalid_position_entry_is_named(self, scenario_path, tmp_path, capsys):
+        # a latitude past the pole is refused with the entry that holds it
+        raw = json.loads(scenario_path.read_text())
+        raw["users"][0]["lat_deg"] = 95.0
+        scenario_path.write_text(json.dumps(raw))
+        assert main(["optimize", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: invalid user entry {")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_scenario_is_validation_error(self, tmp_path, capsys):
         code = main(["pattern", "--scenario", str(tmp_path / "nope.json"),
@@ -215,11 +224,13 @@ class TestCommonBehaviour:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        # each flag belongs to subcommands that read it: geodesy takes no
-        # shaping overrides, and optimize writes CSV only
-        ["geodesy", "--kappa", "11"],
-        ["geodesy", "--L", "3"],
+        # the scenario file alone sets the shaping grid and the look ray,
+        # and optimize writes CSV only
+        ["pattern", "--kappa", "3"],
+        ["optimize", "--L", "3"],
         ["optimize", "--format", "svg"],
+        ["sweep", "--kappa", "1"],
+        ["geodesy", "--expected-azimuth-deg", "0", "--expected-elevation-deg", "-28"],
     ])
     def test_flag_of_another_subcommand_is_usage_error(
         self, argv, scenario_path, tmp_path, capsys
@@ -396,6 +407,7 @@ class TestPattern:
         assert outputs["-0"] == outputs["0"]
 
     def test_notch_width_grows_with_kappa_override(self, tmp_path):
+        # the same linear array and belief in three files, with shaping.kappa 1, 2 and 3
         raw = {
             "satellite": {"lon_deg": 138.53, "lat_deg": -22.024, "alt_m": 800000.0},
             "array": {"m": 20, "n": 1, "freq_hz": 2.0e10},
@@ -404,13 +416,13 @@ class TestPattern:
             "shaping": {"L": 5, "kappa": 1},
             "seed": 42,
         }
-        scenario = tmp_path / "linear.json"
-        scenario.write_text(json.dumps(raw))
         widths = []
         for kappa in (1, 2, 3):
+            raw["shaping"]["kappa"] = kappa
+            scenario = tmp_path / f"kappa{kappa}.json"
+            scenario.write_text(json.dumps(raw))
             out = tmp_path / f"kappa{kappa}"
-            assert main(["pattern", "--scenario", str(scenario), "--out", str(out),
-                         "--kappa", str(kappa)]) == 0
+            assert main(["pattern", "--scenario", str(scenario), "--out", str(out)]) == 0
             rows = [line.split(",") for line in read_lines(out / "pattern_phi0.csv")[2:]]
             angles = np.array([float(r[0]) for r in rows])
             levels = np.array([float(r[1]) for r in rows])
@@ -535,6 +547,20 @@ class TestSweep:
         lines = read_lines(out / "sweep_sigmas_0.3.csv")
         assert float(lines[2].split(",")[2]) == 0.0
 
+    def test_capacity_skipped_for_several_users(self, scenario_path, tmp_path, capsys):
+        # capacity is a single-user metric: a two-user sweep writes its psi
+        # files and charts, notes the skip and writes no capacity file
+        raw = json.loads(scenario_path.read_text())
+        raw["users"].append({"lon_deg": 137.0, "lat_deg": -21.0})
+        scenario_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                     "--sigma-s", "0,0.3", "--trials", "5", "--capacity",
+                     "--sigma-i-max", "0.1", "--format", "both"]) == 0
+        assert capsys.readouterr().err == (
+            "capacity sweep skipped: scenario serves more than one user\n")
+        assert sorted(written(out)) == ["sweep_psi.svg", "sweep_sigmas_0.3.csv", "sweep_sigmas_0.csv"]
+
     def test_capacity_files(self, scenario_path, tmp_path):
         out = tmp_path / "out"
         assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
@@ -580,13 +606,23 @@ class TestSweep:
         assert outs[0] == outs[1]
 
 
-#: The benchmark's geodesy tables: every ray hits.
+#: The benchmark's geodesy tables on leo_capacity.json: every ray hits.
 BENCHMARK_TABLES = ["--altitudes-km", ",".join(str(km) for km in range(300, 1501, 100)),
                     "--deviation-step", "0.01"]
-#: From 800 km raising the -28 deg ray crosses the horizon, and from 1200 km
-#: (horizon at -32.7 deg) every ray misses.
-MISSES = ["--expected-azimuth-deg", "0", "--expected-elevation-deg", "-28",
-          "--altitudes-km", "100,800,1200"]
+#: An interferer at polar angle 62 deg, azimuth 0 gives the look ray
+#: azimuth 0 and elevation -28 deg. From 800 km raising that ray crosses
+#: the horizon, and from 1200 km (horizon at -32.7 deg) every ray misses.
+MISS_INTERFERER = {"theta_deg": 62.0, "phi_deg": 0.0}
+MISSES = ["--altitudes-km", "100,800,1200"]
+
+
+def with_first_interferer(path, interferer, to):
+    """Write the scenario file at ``path`` to ``to`` with ``interferer`` as its
+    first interferer entry; returns ``to``."""
+    raw = json.loads(path.read_text())
+    raw["interferers"][0] = interferer
+    to.write_text(json.dumps(raw))
+    return to
 
 
 class TestGeodesy:
@@ -619,9 +655,9 @@ class TestGeodesy:
 
     def test_ray_miss_marked_not_dropped(self, scenario_path, tmp_path):
         out = tmp_path / "out"
+        with_first_interferer(scenario_path, MISS_INTERFERER, scenario_path)
         assert main(["geodesy", "--scenario", str(scenario_path), "--out", str(out),
                      "--altitudes-km", "800",
-                     "--expected-azimuth-deg", "0.0", "--expected-elevation-deg", "-28.0",
                      "--deviation-max", "1", "--deviation-step", "0.5",
                      "--fixed-deviation", "0"]) == 0
         # the horizon from 800 km sits at elevation -27.3 deg; raising the
@@ -658,15 +694,17 @@ class TestGeodesy:
             "which labels their curves\n")
         assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("argv, hit_flags", [
-        pytest.param(BENCHMARK_TABLES, {"1"}, id="benchmark-tables"),
-        pytest.param(MISSES, {"0", "1"}, id="misses"),
+    @pytest.mark.parametrize("interferer, argv, hit_flags", [
+        pytest.param(None, BENCHMARK_TABLES, {"1"}, id="benchmark-tables"),
+        pytest.param(MISS_INTERFERER, MISSES, {"0", "1"}, id="misses"),
     ])
     def test_altitude_rows_do_not_depend_on_the_altitudes_beside_it(
-            self, argv, hit_flags, tmp_path):
+            self, interferer, argv, hit_flags, tmp_path):
         # every altitude's rays are solved in one batch; each altitude's rows
         # must be the bytes of a run with that altitude alone
-        scenario = str(SCENARIOS / "leo_capacity.json")
+        scenario = str(SCENARIOS / "leo_capacity.json" if interferer is None else
+                       with_first_interferer(SCENARIOS / "leo_capacity.json", interferer,
+                                             tmp_path / "scenario.json"))
         assert main(["geodesy", "--scenario", scenario, "--out", str(tmp_path / "all")] + argv) == 0
         at = argv.index("--altitudes-km") + 1
         tables = {stem: [line.split(",") for line in read_lines(tmp_path / "all" / f"{stem}.csv")[2:]]
@@ -685,10 +723,15 @@ class TestGeodesy:
                     assert code == 0
                     assert [",".join(row) for row in rows] == read_lines(out / f"{stem}.csv")[2:]
 
-    @pytest.mark.parametrize("argv", [pytest.param(BENCHMARK_TABLES, id="benchmark-tables"),
-                                      pytest.param(MISSES, id="misses")])
-    def test_both_tables_come_from_one_solve(self, argv, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("interferer, argv", [
+        pytest.param(None, BENCHMARK_TABLES, id="benchmark-tables"),
+        pytest.param(MISS_INTERFERER, MISSES, id="misses"),
+    ])
+    def test_both_tables_come_from_one_solve(self, interferer, argv, monkeypatch, tmp_path):
         # each table must carry the bits of a call that solves it alone
+        scenario = (SCENARIOS / "leo_capacity.json" if interferer is None else
+                    with_first_interferer(SCENARIOS / "leo_capacity.json", interferer,
+                                          tmp_path / "scenario.json"))
         solve = nullshaper.geodesy.angular_deviation_to_ground_distance
         calls = []
 
@@ -697,8 +740,8 @@ class TestGeodesy:
             return calls[-1][1]
 
         monkeypatch.setattr(cli, "angular_deviation_to_ground_distance", spy)
-        assert main(["geodesy", "--scenario", str(SCENARIOS / "leo_capacity.json"),
-                     "--out", str(tmp_path)] + argv) == 0
+        assert main(["geodesy", "--scenario", str(scenario), "--out", str(tmp_path / "o")]
+                    + argv) == 0
         [((sats, expected, d_az, d_el), both)] = calls
         for table in range(2):
             alone = solve(sats, expected, d_az[table], d_el[table])
@@ -737,18 +780,14 @@ class TestGeodesy:
                          "--out", str(tmp_path / "one")]) == 0
             assert written(tmp_path / "two") == written(tmp_path / "one")
 
-    def test_expected_ray_flags_must_pair(self, scenario_path, tmp_path):
-        assert main(["geodesy", "--scenario", str(scenario_path),
-                     "--out", str(tmp_path / "o"),
-                     "--expected-azimuth-deg", "10.0"]) == 1
-
     def test_table_without_a_hit_is_runtime_error_before_writing(
         self, scenario_path, tmp_path, capsys
     ):
-        # a ray 10 deg above the horizontal never reaches the ground
+        # from 1200 km every ray about the -28 deg look ray passes above the horizon
+        with_first_interferer(scenario_path, MISS_INTERFERER, scenario_path)
         assert main(["geodesy", "--scenario", str(scenario_path),
                      "--out", str(tmp_path / "o"), "--format", "both",
-                     "--expected-azimuth-deg", "0", "--expected-elevation-deg", "10"]) == 3
+                     "--altitudes-km", "1200"]) == 3
         assert capsys.readouterr().err.startswith("runtime error: ")
         assert not list((tmp_path / "o").iterdir())
 
@@ -1075,8 +1114,10 @@ class TestSizeBounds:
     def test_pooled_shaping_grid(self, samples, code, scenario_path, tmp_path, calls, capsys):
         # two interferers pool 2 x L x L directions, at most MAX_GRID_POINTS
         self.with_sites(scenario_path, interferers=2)
-        self.run(["optimize", "--L", str(samples)], code, "scenario error: ",
-                 scenario_path, tmp_path / "o", calls, capsys)
+        raw = json.loads(scenario_path.read_text())
+        raw["shaping"]["L"] = samples
+        scenario_path.write_text(json.dumps(raw))
+        self.run(["optimize"], code, "scenario error: ", scenario_path, tmp_path / "o", calls, capsys)
         assert calls == ["design_weights"] * (code == 0)
 
     @pytest.mark.parametrize("designs, interferers, trials, code", [
@@ -1134,8 +1175,10 @@ class TestSweepDesignsTogether:
 
     def test_beyond_horizon_interferer_fails_only_where_it_is_resolved(
             self, scenario_path, tmp_path, capsys):
+        # the second interferer is beyond the horizon: sweep resolves it,
+        # and geodesy, which reads only the first one's direction, does not
         raw = json.loads(scenario_path.read_text())
-        raw["interferers"][0].update(lon_deg=-41.5, lat_deg=19.0)
+        raw["interferers"].append(dict(raw["interferers"][0], lon_deg=-41.5, lat_deg=19.0))
         scenario_path.write_text(json.dumps(raw))
         out = tmp_path / "o"
         assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
@@ -1143,9 +1186,7 @@ class TestSweepDesignsTogether:
         assert capsys.readouterr().err == (
             "runtime error: satellite below the target's horizon; target is not visible\n")
         assert not list(out.iterdir())
-        # an explicit ray never resolves the interferer
-        assert main(["geodesy", "--scenario", str(scenario_path), "--out", str(tmp_path / "g"),
-                     "--expected-azimuth-deg", "30", "--expected-elevation-deg", "-60"]) == 0
+        assert main(["geodesy", "--scenario", str(scenario_path), "--out", str(tmp_path / "g")]) == 0
 
     def test_scenario_sigma_s_designs_as_the_flag_does(self, tmp_path):
         # leo_capacity's interferer has sigma_s_deg 0.3, so a sweep without

@@ -90,6 +90,11 @@ class TestGeodeticToDirection:
         with pytest.raises(VisibilityError):
             geodetic_to_direction(SAT, GeodeticPosition.from_degrees(-41.5, 19.0))
 
+    def test_target_at_the_satellite_rejected(self):
+        # a zero line of sight has no direction
+        with pytest.raises(VisibilityError, match="coincides"):
+            geodetic_to_direction(SAT, SAT)
+
     def test_distant_satellite_sees_its_subsatellite_area_at_nadir(self):
         # the squares of a 1e200 m line of sight overflow, a RuntimeWarning
         # that pytest turns into an error
@@ -469,6 +474,10 @@ class TestMonteCarloSweep:
         with pytest.raises(ValueError, match="finite and >= 0"):
             monte_carlo_sweeps(make_scenario(), [WeightVector.uniform(64)], grid, trials=2)
 
+    def test_trials_below_one_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            monte_carlo_sweeps(make_scenario(), [WeightVector.uniform(64)], [0.0], trials=0)
+
     def test_capacity_none_for_several_users(self):
         sc = replace(make_scenario(), users=(USER, GeodeticPosition.from_degrees(137.0, -21.0)))
         [(psi, cap)] = monte_carlo_sweeps(sc, [WeightVector.uniform(64)], [0.0], trials=2)
@@ -731,8 +740,9 @@ class TestScenarioLoading:
     def test_shaping_and_seed_bounds(self):
         sc = scenario_from_dict(self.scenario_dict())
         replace(sc, samples_per_axis=316, kappa=10, seed=0)  # the largest accepted
+        # a value past each bound is refused, and so is a scenario with no interferer
         for bad in ({"samples_per_axis": 0}, {"samples_per_axis": 317}, {"kappa": -1},
-                    {"kappa": 11}, {"seed": -1}):
+                    {"kappa": 11}, {"seed": -1}, {"interferers": ()}):
             with pytest.raises(ValueError):
                 replace(sc, **bad)
 
